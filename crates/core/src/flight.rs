@@ -428,6 +428,28 @@ fn sanitize(s: &str) -> String {
     s.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect()
 }
 
+/// Keeps an `ev` detail on its line: `\` and newlines are escaped, so a
+/// multi-line panic message survives the dump. [`unescape_detail`]
+/// inverts it.
+fn escape_detail(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('\n', "\\n")
+}
+
+fn unescape_detail(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars().peekable();
+    while let Some(c) = chars.next() {
+        match (c, chars.peek()) {
+            ('\\', Some(&e @ ('n' | '\\'))) => {
+                out.push(if e == 'n' { '\n' } else { '\\' });
+                chars.next();
+            }
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
 /// Serializes a dump: the `RVFR 1` magic line, one `meta` line of
 /// `key=value` pairs (`reason` first), one `ev` line per flight event,
 /// and one `trace` line per `(tenant, trace)` pair — recent traces plus
@@ -453,7 +475,7 @@ pub fn render_dump(
             sanitize(&e.tenant),
             e.kind.label(),
             e.dur_ns,
-            e.detail
+            escape_detail(&e.detail)
         );
     }
     for (tenant, t) in traces {
@@ -534,7 +556,7 @@ impl FlightDump {
                         .and_then(FlightKind::from_label)
                         .ok_or_else(|| format!("line {lineno}: ev bad kind"))?;
                     let dur_ns = parse_field(it.next(), lineno, "dur_ns")?;
-                    let detail = it.next().unwrap_or("").to_owned();
+                    let detail = unescape_detail(it.next().unwrap_or(""));
                     dump.events.push(FlightEvent { at_ns, tenant, kind, dur_ns, detail });
                 }
                 "trace" => {
@@ -805,6 +827,19 @@ mod tests {
         assert_eq!(t.cseq, 42);
         assert_eq!(t.stages[Stage::Engine.idx()], 9_000);
         assert_eq!(t.stages[Stage::JournalAppend.idx()], 10);
+    }
+
+    #[test]
+    fn multi_line_details_round_trip_through_the_dump() {
+        let mut f = FlightRecorder::new(4);
+        f.note("t", FlightKind::State, 0, "a\nb\\c");
+        f.note("t", FlightKind::State, 0, "assertion failed\n  left: 1\n right: 2\\n");
+        let events: Vec<FlightEvent> = f.events().cloned().collect();
+        let text = render_dump("failed", &[], &events, &[]);
+        assert_eq!(text.lines().count(), 4, "one line per event: {text}");
+        let dump = FlightDump::parse(&text).unwrap();
+        let details: Vec<&str> = dump.events.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(details, ["a\nb\\c", "assertion failed\n  left: 1\n right: 2\\n"]);
     }
 
     #[test]

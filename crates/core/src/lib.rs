@@ -94,8 +94,8 @@ pub use crate::obs::{
     MetricsRegistry, NoopObserver, Phase, TraceKind, TraceRecord, TraceRecorder,
 };
 pub use crate::profile::{
-    chrome_trace_json, prometheus_text, InstanceRecord, PhaseProfiler, ProvenanceLedger,
-    ProvenanceSummary, SpanLog, TimelineSpan,
+    chrome_trace_json, prometheus_text, serve_http, InstanceRecord, PhaseProfiler,
+    ProvenanceLedger, ProvenanceSummary, SpanLog, TimelineSpan, PROMETHEUS_CONTENT_TYPE,
 };
 pub use crate::reference::{monitor_trace, ReferenceRun, Trigger};
 pub use crate::service::{

@@ -30,7 +30,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 use rv_logic::{Alphabet, EventDef, EventId, ParamSet, Verdict};
 
@@ -703,25 +705,74 @@ impl EngineObserver for ProvenanceLedger {
 // Prometheus text exposition
 // ---------------------------------------------------------------------------
 
-fn prom_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
-    let mut cumulative: u64 = 0;
-    for (i, &c) in h.bucket_counts().iter().enumerate() {
-        cumulative = cumulative.saturating_add(c);
-        if c == 0 && i < HISTOGRAM_BUCKETS {
-            continue; // elide empty finite buckets; +Inf always prints
-        }
-        if i < HISTOGRAM_BUCKETS {
-            let _ = writeln!(out, "{name}_bucket{{{labels}le=\"{}\"}} {cumulative}", 1u64 << i);
-        }
+/// Content type of the Prometheus text exposition.
+pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// The Prometheus text-format writer behind both `rvmon serve` and the
+/// `rvmond` sidecar. [`PromWriter::family`] writes a family's `# HELP` and
+/// `# TYPE` lines once; the samples that follow belong to it. Label values
+/// are escaped here and nowhere else.
+#[derive(Debug, Default)]
+pub(crate) struct PromWriter {
+    out: String,
+    family: String,
+}
+
+impl PromWriter {
+    /// Opens the family `name` of type `kind` (`counter`, `gauge`,
+    /// `histogram`).
+    pub(crate) fn family(&mut self, name: &str, kind: &str, help: &str) -> &mut PromWriter {
+        let _ = writeln!(self.out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        name.clone_into(&mut self.family);
+        self
     }
-    let _ = writeln!(out, "{name}_bucket{{{labels}le=\"+Inf\"}} {}", h.count());
-    let bare = labels.trim_end_matches(',');
-    if bare.is_empty() {
-        let _ = writeln!(out, "{name}_sum {}", h.sum());
-        let _ = writeln!(out, "{name}_count {}", h.count());
-    } else {
-        let _ = writeln!(out, "{name}_sum{{{bare}}} {}", h.sum());
-        let _ = writeln!(out, "{name}_count{{{bare}}} {}", h.count());
+
+    /// One sample of the open family.
+    pub(crate) fn sample(&mut self, labels: &[(&str, &str)], value: impl std::fmt::Display) {
+        self.series("", labels, None, value);
+    }
+
+    /// One histogram series of the open family: cumulative `le` buckets
+    /// (empty finite buckets elided, `+Inf` always), then `_sum` and
+    /// `_count`. An empty histogram writes nothing.
+    pub(crate) fn histogram(&mut self, labels: &[(&str, &str)], h: &Histogram) {
+        if h.count() == 0 {
+            return;
+        }
+        let mut cumulative: u64 = 0;
+        for (i, &c) in h.bucket_counts().iter().take(HISTOGRAM_BUCKETS).enumerate() {
+            cumulative = cumulative.saturating_add(c);
+            if c > 0 {
+                self.series("_bucket", labels, Some(&(1u64 << i).to_string()), cumulative);
+            }
+        }
+        self.series("_bucket", labels, Some("+Inf"), h.count());
+        self.series("_sum", labels, None, h.sum());
+        self.series("_count", labels, None, h.count());
+    }
+
+    fn series(
+        &mut self,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        le: Option<&str>,
+        value: impl std::fmt::Display,
+    ) {
+        self.out.push_str(&self.family);
+        self.out.push_str(suffix);
+        let mut sep = '{';
+        for (k, v) in labels.iter().copied().chain(le.map(|le| ("le", le))) {
+            let _ = write!(self.out, "{sep}{k}=\"{}\"", prom_escape(v));
+            sep = ',';
+        }
+        if sep == ',' {
+            self.out.push('}');
+        }
+        let _ = writeln!(self.out, " {value}");
+    }
+
+    pub(crate) fn finish(self) -> String {
+        self.out
     }
 }
 
@@ -731,11 +782,11 @@ fn prom_escape(s: &str) -> String {
 
 /// Renders a merged [`MetricsRegistry`] plus per-property
 /// [`PhaseProfiler`]s in the Prometheus text exposition format
-/// (`text/plain; version=0.0.4`). Served by `rvmon serve`; also usable as
+/// ([`PROMETHEUS_CONTENT_TYPE`]). Served by `rvmon serve`; also usable as
 /// a one-shot dump.
 #[must_use]
 pub fn prometheus_text(metrics: &MetricsRegistry, profilers: &[PhaseProfiler]) -> String {
-    let mut out = String::new();
+    let mut w = PromWriter::default();
     let counters: [(&str, &str, u64); 12] = [
         ("rvmon_events_total", "Events dispatched (Fig. 10 E)", metrics.events()),
         ("rvmon_monitors_created_total", "Monitor instances created (M)", metrics.created()),
@@ -759,122 +810,112 @@ pub fn prometheus_text(metrics: &MetricsRegistry, profilers: &[PhaseProfiler]) -
         ),
     ];
     for (name, help, value) in counters {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
+        w.family(name, "counter", help).sample(&[], value);
     }
-    let _ = writeln!(out, "# HELP rvmon_gc_cycles_total GC cycles by collector kind and reason");
-    let _ = writeln!(out, "# TYPE rvmon_gc_cycles_total counter");
+    w.family("rvmon_gc_cycles_total", "counter", "GC cycles by collector kind and reason");
     for kind in GcKind::ALL {
         for reason in GcReason::ALL {
-            let _ = writeln!(
-                out,
-                "rvmon_gc_cycles_total{{kind=\"{}\",reason=\"{}\"}} {}",
-                kind.label(),
-                reason.label(),
-                metrics.gc_cycles(kind, reason)
-            );
+            let labels = [("kind", kind.label()), ("reason", reason.label())];
+            w.sample(&labels, metrics.gc_cycles(kind, reason));
         }
     }
-    let _ = writeln!(out, "# HELP rvmon_gc_scanned_total Objects/monitors examined by GC cycles");
-    let _ = writeln!(out, "# TYPE rvmon_gc_scanned_total counter");
+    w.family("rvmon_gc_scanned_total", "counter", "Objects/monitors examined by GC cycles");
     for kind in GcKind::ALL {
-        let _ = writeln!(
-            out,
-            "rvmon_gc_scanned_total{{kind=\"{}\"}} {}",
-            kind.label(),
-            metrics.gc_scanned(kind)
-        );
+        w.sample(&[("kind", kind.label())], metrics.gc_scanned(kind));
     }
-    let _ =
-        writeln!(out, "# HELP rvmon_gc_reclaimed_total Objects/monitors reclaimed by GC cycles");
-    let _ = writeln!(out, "# TYPE rvmon_gc_reclaimed_total counter");
+    w.family("rvmon_gc_reclaimed_total", "counter", "Objects/monitors reclaimed by GC cycles");
     for kind in GcKind::ALL {
-        let _ = writeln!(
-            out,
-            "rvmon_gc_reclaimed_total{{kind=\"{}\"}} {}",
-            kind.label(),
-            metrics.gc_reclaimed(kind)
-        );
+        w.sample(&[("kind", kind.label())], metrics.gc_reclaimed(kind));
     }
-    let _ = writeln!(
-        out,
-        "# HELP rvmon_gc_debt Monitors created since the last sweep minus monitors it reclaimed"
+    w.family(
+        "rvmon_gc_debt",
+        "gauge",
+        "Monitors created since the last sweep minus monitors it reclaimed",
+    )
+    .sample(&[], metrics.gc_debt());
+    w.family("rvmon_gc_pause_ns", "histogram", "Stop-the-world GC pause durations (ns)");
+    for kind in GcKind::ALL {
+        w.histogram(&[("kind", kind.label())], metrics.gc_pause(kind));
+    }
+    w.family("rvmon_event_latency_ns", "histogram", "End-to-end per-event dispatch latency (ns)")
+        .histogram(&[], metrics.event_latency_ns());
+    w.family(
+        "rvmon_phase_duration_ns",
+        "histogram",
+        "Wall-clock nanoseconds per hot-path phase span",
     );
-    let _ = writeln!(out, "# TYPE rvmon_gc_debt gauge");
-    let _ = writeln!(out, "rvmon_gc_debt {}", metrics.gc_debt());
-    let _ = writeln!(out, "# HELP rvmon_gc_pause_ns Stop-the-world GC pause durations (ns)");
-    let _ = writeln!(out, "# TYPE rvmon_gc_pause_ns histogram");
-    for kind in GcKind::ALL {
-        let h = metrics.gc_pause(kind);
-        if h.count() == 0 {
-            continue;
-        }
-        let labels = format!("kind=\"{}\",", kind.label());
-        prom_histogram(&mut out, "rvmon_gc_pause_ns", &labels, h);
-    }
-    let _ =
-        writeln!(out, "# HELP rvmon_event_latency_ns End-to-end per-event dispatch latency (ns)");
-    let _ = writeln!(out, "# TYPE rvmon_event_latency_ns histogram");
-    if metrics.event_latency_ns().count() > 0 {
-        prom_histogram(&mut out, "rvmon_event_latency_ns", "", metrics.event_latency_ns());
-    }
-    let _ = writeln!(
-        out,
-        "# HELP rvmon_phase_duration_ns Wall-clock nanoseconds per hot-path phase span"
-    );
-    let _ = writeln!(out, "# TYPE rvmon_phase_duration_ns histogram");
     for p in Phase::ALL {
-        let h = metrics.phase(p);
-        if h.count() == 0 {
-            continue;
-        }
-        let labels = format!("phase=\"{}\",", p.label());
-        prom_histogram(&mut out, "rvmon_phase_duration_ns", &labels, h);
+        w.histogram(&[("phase", p.label())], metrics.phase(p));
     }
     if !profilers.is_empty() {
-        let _ =
-            writeln!(out, "# HELP rvmon_profile_phase_ns Per-property profiler phase spans (ns)");
-        let _ = writeln!(out, "# TYPE rvmon_profile_phase_ns histogram");
+        w.family("rvmon_profile_phase_ns", "histogram", "Per-property profiler phase spans (ns)");
         for prof in profilers {
-            let property = prom_escape(prof.label());
             for p in Phase::ALL {
-                let h = prof.phase(p);
-                if h.count() == 0 {
-                    continue;
-                }
-                let labels = format!("property=\"{property}\",phase=\"{}\",", p.label());
-                prom_histogram(&mut out, "rvmon_profile_phase_ns", &labels, h);
+                w.histogram(&[("property", prof.label()), ("phase", p.label())], prof.phase(p));
             }
         }
-        let _ = writeln!(out, "# HELP rvmon_profile_spans_total Opened profiler spans per phase");
-        let _ = writeln!(out, "# TYPE rvmon_profile_spans_total counter");
+        w.family("rvmon_profile_spans_total", "counter", "Opened profiler spans per phase");
         for prof in profilers {
-            let property = prom_escape(prof.label());
-            for p in Phase::ALL {
-                if prof.enters(p) == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "rvmon_profile_spans_total{{property=\"{property}\",phase=\"{}\"}} {}",
-                    p.label(),
-                    prof.enters(p)
-                );
+            for p in Phase::ALL.into_iter().filter(|&p| prof.enters(p) > 0) {
+                w.sample(&[("property", prof.label()), ("phase", p.label())], prof.enters(p));
             }
         }
     }
-    let _ = writeln!(
-        out,
-        "# HELP rvmon_profiler_self_overhead_ns Measured cost of one profiler span pair"
-    );
-    let _ = writeln!(out, "# TYPE rvmon_profiler_self_overhead_ns gauge");
-    let _ = writeln!(
-        out,
-        "rvmon_profiler_self_overhead_ns {}",
-        json_f64(PhaseProfiler::measure_self_overhead(4096))
-    );
-    out
+    w.family("rvmon_profiler_self_overhead_ns", "gauge", "Measured cost of one profiler span pair")
+        .sample(&[], json_f64(PhaseProfiler::measure_self_overhead(4096)));
+    w.finish()
+}
+
+/// Answers one HTTP request on `stream` — the responder behind both
+/// `rvmon serve` and the `rvmond` sidecar. The request head is read under
+/// `timeout` (which also bounds the write, so a stalling peer cannot wedge
+/// a serial accept loop), its path is handed to `route` for a
+/// `(content type, body)` pair, and the body goes back as a `200` with
+/// `Connection: close`. A read error, a timeout or an empty request reaps
+/// the peer without an answer. Returns whether a response was written.
+pub fn serve_http(
+    mut stream: TcpStream,
+    timeout: Duration,
+    route: impl FnOnce(&str) -> (&'static str, String),
+) -> bool {
+    if stream.set_read_timeout(Some(timeout)).is_err()
+        || stream.set_write_timeout(Some(timeout)).is_err()
+    {
+        return false;
+    }
+    // Requests may arrive in several segments, so keep reading until the
+    // blank line ends the head (or the buffer fills / EOF).
+    let mut buf = [0u8; 4096];
+    let mut n = 0;
+    while n < buf.len() {
+        match stream.read(&mut buf[n..]) {
+            Ok(0) => break,
+            Err(_) => {
+                n = 0;
+                break;
+            }
+            Ok(read) => {
+                n += read;
+                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+                    break;
+                }
+            }
+        }
+    }
+    let answered = n > 0;
+    if answered {
+        let head = String::from_utf8_lossy(&buf[..n]);
+        let path = head.lines().next().and_then(|l| l.split_whitespace().nth(1)).unwrap_or("/");
+        let (content_type, body) = route(path);
+        let response = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let _ = stream.write_all(response.as_bytes());
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+    answered
 }
 
 #[cfg(test)]
@@ -1104,6 +1145,41 @@ mod tests {
             }
         }
         assert_eq!(family_type.get("rvmon_gc_debt").map(String::as_str), Some("gauge"));
+    }
+
+    /// The shared responder answers a head that arrives in two writes,
+    /// and reaps a silent or a stalled peer without answering.
+    #[test]
+    fn serve_http_answers_one_request_and_reaps_idle_peers() {
+        use std::io::{Read, Write};
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+            s.write_all(b"Host: x\r\n\r\n").unwrap();
+            let mut response = String::new();
+            s.read_to_string(&mut response).unwrap();
+            response
+        });
+        let route = |path: &str| ("text/plain", format!("{path}\n"));
+        let timeout = Duration::from_millis(100);
+        let (stream, _) = listener.accept().unwrap();
+        assert!(serve_http(stream, timeout, route));
+        assert_eq!(
+            client.join().unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 9\r\n\
+             Connection: close\r\n\r\n/healthz\n"
+        );
+
+        drop(TcpStream::connect(addr).unwrap()); // closes without a request
+        let (stream, _) = listener.accept().unwrap();
+        assert!(!serve_http(stream, timeout, route));
+        let _stalled = TcpStream::connect(addr).unwrap(); // open, never writes
+        let (stream, _) = listener.accept().unwrap();
+        assert!(!serve_http(stream, timeout, route), "read timeout reaps the peer");
     }
 
     #[test]

@@ -80,7 +80,8 @@ use crate::journal::{
     AUX_GC, AUX_OBJ, AUX_RELOAD, AUX_SLINE, AUX_SPEC, AUX_SWEEP,
 };
 use crate::multi::PropertyMonitor;
-use crate::obs::MetricsRegistry;
+use crate::obs::{json_escape, MetricsRegistry};
+use crate::profile::PromWriter;
 use crate::slo::{SloConfig, SloSnapshot, SloTracker};
 use crate::snapshot::{list_checkpoints, load_latest_checkpoint, write_checkpoint};
 
@@ -606,9 +607,9 @@ impl TenantSnapshot {
     #[must_use]
     pub fn to_json(&self) -> String {
         let state = match &self.state {
-            TenantState::Failed(e) => format!("\"failed: {}\"", e.replace('"', "'")),
+            TenantState::Failed(e) => format!("\"failed: {}\"", json_escape(e)),
             TenantState::FailedPermanent(e) => {
-                format!("\"failed-permanent: {}\"", e.replace('"', "'"))
+                format!("\"failed-permanent: {}\"", json_escape(e))
             }
             s => format!("\"{}\"", s.label()),
         };
@@ -1693,182 +1694,126 @@ impl Service {
     #[must_use]
     pub fn prometheus(&self) -> String {
         let snaps = self.snapshots();
-        let mut out = String::new();
-        let service: &[(&str, &str, u64)] = &[
-            (
-                "rvmond_tenants_admitted_total",
-                "Tenants admitted",
-                self.stats.tenants_admitted.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_tenants_rejected_total",
-                "Tenant admissions rejected",
-                self.stats.tenants_rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_conns_opened_total",
-                "Connection permits granted",
-                self.stats.conns_opened.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_conns_rejected_total",
-                "Connection permits refused",
-                self.stats.conns_rejected.load(Ordering::Relaxed),
-            ),
+        let st = &self.stats;
+        let mut w = PromWriter::default();
+        let service: [(&str, &str, &AtomicU64); 11] = [
+            ("rvmond_tenants_admitted_total", "Tenants admitted", &st.tenants_admitted),
+            ("rvmond_tenants_rejected_total", "Tenant admissions rejected", &st.tenants_rejected),
+            ("rvmond_conns_opened_total", "Connection permits granted", &st.conns_opened),
+            ("rvmond_conns_rejected_total", "Connection permits refused", &st.conns_rejected),
             (
                 "rvmond_events_submitted_total",
                 "Events accepted into ingest queues",
-                self.stats.events_submitted.load(Ordering::Relaxed),
+                &st.events_submitted,
             ),
-            (
-                "rvmond_events_shed_total",
-                "Events dropped by shed backpressure",
-                self.stats.events_shed.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_bad_frames_total",
-                "Malformed frames rejected",
-                self.stats.bad_frames.load(Ordering::Relaxed),
-            ),
-            (
-                "rvmond_idle_reaped_total",
-                "Connections reaped for idling",
-                self.stats.idle_reaped.load(Ordering::Relaxed),
-            ),
+            ("rvmond_events_shed_total", "Events dropped by shed backpressure", &st.events_shed),
+            ("rvmond_bad_frames_total", "Malformed frames rejected", &st.bad_frames),
+            ("rvmond_idle_reaped_total", "Connections reaped for idling", &st.idle_reaped),
             (
                 "rvmond_tenants_restarted_total",
                 "Supervised tenant restarts completed",
-                self.stats.tenants_restarted.load(Ordering::Relaxed),
+                &st.tenants_restarted,
             ),
             (
                 "rvmond_tenants_circuit_broken_total",
                 "Tenants circuit-broken after exhausting the restart budget",
-                self.stats.tenants_circuit_broken.load(Ordering::Relaxed),
+                &st.tenants_circuit_broken,
             ),
-            (
-                "rvmond_spec_reloads_total",
-                "Hot spec reloads applied",
-                self.stats.spec_reloads.load(Ordering::Relaxed),
-            ),
+            ("rvmond_spec_reloads_total", "Hot spec reloads applied", &st.spec_reloads),
         ];
         for (name, help, value) in service {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+            w.family(name, "counter", help).sample(&[], value.load(Ordering::Relaxed));
         }
-        let per_tenant: &[(&str, &str, fn(&TenantSnapshot) -> u64)] = &[
-            ("rvmond_tenant_events_total", "Events processed", |s| s.events),
-            ("rvmond_tenant_triggers_total", "Goal reports delivered", |s| s.triggers),
-            ("rvmond_tenant_shed_events_total", "Events shed at the queue", |s| s.shed_events),
-            ("rvmond_tenant_bad_lines_total", "Malformed client lines", |s| s.bad_lines),
-            ("rvmond_tenant_quarantined_total", "Monitors quarantined", |s| s.quarantined),
-            ("rvmond_tenant_budget_trips_total", "Budget trips", |s| s.budget_trips),
-            ("rvmond_tenant_shed_monitors_total", "Monitor creations shed", |s| s.shed_monitors),
-            ("rvmond_tenant_checkpoints_total", "Checkpoints written", |s| s.checkpoints),
-            ("rvmond_tenant_journal_retries_total", "Journal append retries", |s| {
+        let per_tenant: [(&str, &str, &str, fn(&TenantSnapshot) -> u64); 13] = [
+            ("rvmond_tenant_events_total", "counter", "Events processed", |s| s.events),
+            ("rvmond_tenant_triggers_total", "counter", "Goal reports delivered", |s| s.triggers),
+            ("rvmond_tenant_shed_events_total", "counter", "Events shed at the queue", |s| {
+                s.shed_events
+            }),
+            ("rvmond_tenant_bad_lines_total", "counter", "Malformed client lines", |s| s.bad_lines),
+            ("rvmond_tenant_quarantined_total", "counter", "Monitors quarantined", |s| {
+                s.quarantined
+            }),
+            ("rvmond_tenant_budget_trips_total", "counter", "Budget trips", |s| s.budget_trips),
+            ("rvmond_tenant_shed_monitors_total", "counter", "Monitor creations shed", |s| {
+                s.shed_monitors
+            }),
+            ("rvmond_tenant_checkpoints_total", "counter", "Checkpoints written", |s| {
+                s.checkpoints
+            }),
+            ("rvmond_tenant_journal_retries_total", "counter", "Journal append retries", |s| {
                 s.journal_retries
             }),
-            ("rvmond_tenant_restarts_total", "Supervised restarts of this tenant", |s| s.restarts),
-            ("rvmond_tenant_deduped_events_total", "Duplicate session lines suppressed", |s| {
-                s.deduped_events
+            (
+                "rvmond_tenant_restarts_total",
+                "counter",
+                "Supervised restarts of this tenant",
+                |s| s.restarts,
+            ),
+            (
+                "rvmond_tenant_deduped_events_total",
+                "counter",
+                "Duplicate session lines suppressed",
+                |s| s.deduped_events,
+            ),
+            ("rvmond_tenant_monitors_live", "gauge", "Live monitor instances", |s| s.monitors_live),
+            ("rvmond_tenant_spec_version", "gauge", "Spec version (1 + reloads)", |s| {
+                s.spec_version
             }),
         ];
-        for (name, help, get) in per_tenant {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+        for (name, kind, help, get) in per_tenant {
+            w.family(name, kind, help);
             for s in &snaps {
-                out.push_str(&format!("{name}{{tenant=\"{}\"}} {}\n", s.name, get(s)));
+                w.sample(&[("tenant", &s.name)], get(s));
             }
         }
-        out.push_str("# HELP rvmond_tenant_monitors_live Live monitor instances\n");
-        out.push_str("# TYPE rvmond_tenant_monitors_live gauge\n");
-        for s in &snaps {
-            out.push_str(&format!(
-                "rvmond_tenant_monitors_live{{tenant=\"{}\"}} {}\n",
-                s.name, s.monitors_live
-            ));
-        }
-        out.push_str("# HELP rvmond_tenant_spec_version Spec version (1 + reloads)\n");
-        out.push_str("# TYPE rvmond_tenant_spec_version gauge\n");
-        for s in &snaps {
-            out.push_str(&format!(
-                "rvmond_tenant_spec_version{{tenant=\"{}\"}} {}\n",
-                s.name, s.spec_version
-            ));
-        }
-        out.push_str("# HELP rvmond_build_info Daemon build information\n");
-        out.push_str("# TYPE rvmond_build_info gauge\n");
-        out.push_str(&format!(
-            "rvmond_build_info{{version=\"{}\",commit=\"{}\"}} 1\n",
-            self.config.version, self.config.commit
-        ));
-        out.push_str("# HELP rvmond_uptime_seconds Seconds since the daemon started\n");
-        out.push_str("# TYPE rvmond_uptime_seconds gauge\n");
-        out.push_str(&format!("rvmond_uptime_seconds {}\n", self.uptime_seconds()));
+        let build = [("version", self.config.version.as_str()), ("commit", &self.config.commit)];
+        w.family("rvmond_build_info", "gauge", "Daemon build information").sample(&build, 1);
+        w.family("rvmond_uptime_seconds", "gauge", "Seconds since the daemon started")
+            .sample(&[], self.uptime_seconds());
         let obs = self.obs_snapshots();
-        out.push_str("# HELP rvmond_stage_events_total Stage samples recorded\n");
-        out.push_str("# TYPE rvmond_stage_events_total counter\n");
+        w.family("rvmond_stage_events_total", "counter", "Stage samples recorded");
         for (name, stages, _, _) in &obs {
             for stage in Stage::ALL {
-                out.push_str(&format!(
-                    "rvmond_stage_events_total{{tenant=\"{name}\",stage=\"{}\"}} {}\n",
-                    stage.label(),
+                w.sample(
+                    &[("tenant", name), ("stage", stage.label())],
                     stages.stage(stage).count(),
-                ));
+                );
             }
         }
-        out.push_str("# HELP rvmond_stage_latency_us Per-stage latency quantiles\n");
-        out.push_str("# TYPE rvmond_stage_latency_us gauge\n");
+        w.family("rvmond_stage_latency_us", "gauge", "Per-stage latency quantiles");
         for (name, stages, _, _) in &obs {
             for stage in Stage::ALL {
                 let h = stages.stage(stage);
-                for (q, v) in
-                    [("0.5", h.quantile(0.5)), ("0.9", h.quantile(0.9)), ("0.99", h.quantile(0.99))]
-                {
-                    out.push_str(&format!(
-                        "rvmond_stage_latency_us{{tenant=\"{name}\",stage=\"{}\",quantile=\"{q}\"}} {:.1}\n",
-                        stage.label(),
-                        v / 1000.0,
-                    ));
+                for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
+                    let labels =
+                        [("tenant", name.as_str()), ("stage", stage.label()), ("quantile", label)];
+                    w.sample(&labels, format_args!("{:.1}", h.quantile(q) / 1000.0));
                 }
             }
         }
-        out.push_str(
-            "# HELP rvmond_slo_error_budget_remaining Fraction of the error budget left\n",
-        );
-        out.push_str("# TYPE rvmond_slo_error_budget_remaining gauge\n");
+        w.family("rvmond_slo_error_budget_remaining", "gauge", "Fraction of the error budget left");
         for (name, _, slo, _) in &obs {
-            out.push_str(&format!(
-                "rvmond_slo_error_budget_remaining{{tenant=\"{name}\",objective=\"latency\"}} {:.4}\n",
-                slo.latency.budget_remaining
-            ));
-            out.push_str(&format!(
-                "rvmond_slo_error_budget_remaining{{tenant=\"{name}\",objective=\"availability\"}} {:.4}\n",
-                slo.availability.budget_remaining
-            ));
+            for (objective, o) in [("latency", &slo.latency), ("availability", &slo.availability)] {
+                let labels = [("tenant", name.as_str()), ("objective", objective)];
+                w.sample(&labels, format_args!("{:.4}", o.budget_remaining));
+            }
         }
-        out.push_str("# HELP rvmond_slo_burn_rate Error budget burn rate (1 = exactly at goal)\n");
-        out.push_str("# TYPE rvmond_slo_burn_rate gauge\n");
+        w.family("rvmond_slo_burn_rate", "gauge", "Error budget burn rate (1 = exactly at goal)");
         for (name, _, slo, _) in &obs {
-            out.push_str(&format!(
-                "rvmond_slo_burn_rate{{tenant=\"{name}\",objective=\"latency\"}} {:.2}\n",
-                slo.latency.burn_rate
-            ));
-            out.push_str(&format!(
-                "rvmond_slo_burn_rate{{tenant=\"{name}\",objective=\"availability\"}} {:.2}\n",
-                slo.availability.burn_rate
-            ));
+            for (objective, o) in [("latency", &slo.latency), ("availability", &slo.availability)] {
+                let labels = [("tenant", name.as_str()), ("objective", objective)];
+                w.sample(&labels, format_args!("{:.2}", o.burn_rate));
+            }
         }
-        out.push_str("# HELP rvmond_slo_requests_total Requests by SLO outcome\n");
-        out.push_str("# TYPE rvmond_slo_requests_total counter\n");
+        w.family("rvmond_slo_requests_total", "counter", "Requests by SLO outcome");
         for (name, _, slo, _) in &obs {
-            out.push_str(&format!(
-                "rvmond_slo_requests_total{{tenant=\"{name}\",outcome=\"good\"}} {}\n",
-                slo.availability.good_total
-            ));
-            out.push_str(&format!(
-                "rvmond_slo_requests_total{{tenant=\"{name}\",outcome=\"bad\"}} {}\n",
-                slo.availability.bad_total
-            ));
+            let a = &slo.availability;
+            for (outcome, n) in [("good", a.good_total), ("bad", a.bad_total)] {
+                w.sample(&[("tenant", name), ("outcome", outcome)], n);
+            }
         }
-        out
+        w.finish()
     }
 
     /// Graceful drain: stop admitting, checkpoint every running tenant,
@@ -3738,6 +3683,20 @@ UnsafeIter(Collection c, Iterator i) {
         assert_eq!(code, REJECT_BAD_FRAME);
         let _ = svc.drain();
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn snapshot_json_escapes_failure_text() {
+        for state in [
+            TenantState::Failed("panicked at x\n  left: \"a\\b\"".to_owned()),
+            TenantState::FailedPermanent("journal\nbroken \\ twice".to_owned()),
+        ] {
+            let snap = TenantSnapshot { name: "t".to_owned(), state, ..TenantSnapshot::default() };
+            let json = snap.to_json();
+            assert!(!json.chars().any(char::is_control), "raw control character: {json}");
+            assert!(json.contains("\\n"), "newline escaped: {json}");
+            assert!(json.contains("\\\\"), "backslash escaped: {json}");
+        }
     }
 
     #[test]

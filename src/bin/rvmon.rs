@@ -704,10 +704,11 @@ fn explain(path: &str, source: &str, rest: &[String]) -> ExitCode {
 /// (`std::net::TcpListener`; any path answers `text/plain; version=0.0.4`,
 /// except `/healthz`, which answers a plain-text liveness summary).
 fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
-    use std::io::{Read as _, Write as _};
+    use std::io::Write as _;
 
     use rv_monitor::core::{
-        prometheus_text, EngineConfig, MetricsRegistry, PhaseProfiler, PropertyMonitor,
+        prometheus_text, serve_http, EngineConfig, MetricsRegistry, PhaseProfiler, PropertyMonitor,
+        PROMETHEUS_CONTENT_TYPE,
     };
     use rv_monitor::heap::{Heap, HeapConfig};
 
@@ -811,61 +812,20 @@ fn serve(path: &str, source: &str, rest: &[String]) -> ExitCode {
         if once { " (one request)" } else { "" }
     );
     let _ = std::io::stdout().flush();
-    let peer_timeout = Some(std::time::Duration::from_millis(timeout_ms));
+    let peer_timeout = std::time::Duration::from_millis(timeout_ms);
+    // The accept loop is serial: the responder's timeout keeps a stalled
+    // peer from wedging `/healthz`, and a reaped peer does not count
+    // towards `--once`, which waits for a real scrape.
     for stream in listener.incoming() {
-        let Ok(mut stream) = stream else { continue };
-        // The accept loop is serial, so a peer that connects and then
-        // stalls must not wedge `/healthz` for everyone behind it: bound
-        // both directions and drop the connection on any timeout.
-        if stream.set_read_timeout(peer_timeout).is_err()
-            || stream.set_write_timeout(peer_timeout).is_err()
-        {
-            continue;
-        }
-        // Drain the request head and pull the path out of the request
-        // line; the same exposition answers any path except `/healthz`.
-        // Requests may arrive in several segments, so keep reading until
-        // the blank line ends the head (or the buffer fills / EOF).
-        let mut buf = [0u8; 4096];
-        let mut n = 0;
-        let mut reaped = false;
-        while n < buf.len() {
-            match stream.read(&mut buf[n..]) {
-                Ok(0) => break,
-                Err(_) => {
-                    // Timeout or reset: reap the peer without answering
-                    // (a `--once` serve keeps waiting for a real client).
-                    reaped = true;
-                    break;
-                }
-                Ok(read) => {
-                    n += read;
-                    if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                        break;
-                    }
-                }
+        let Ok(stream) = stream else { continue };
+        let answered = serve_http(stream, peer_timeout, |path| {
+            if path == "/healthz" {
+                ("text/plain; charset=utf-8", health.clone())
+            } else {
+                (PROMETHEUS_CONTENT_TYPE, body.clone())
             }
-        }
-        if reaped || n == 0 {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            continue;
-        }
-        let head = String::from_utf8_lossy(&buf[..n]);
-        let req_path =
-            head.lines().next().and_then(|line| line.split_whitespace().nth(1)).unwrap_or("/");
-        let (content_type, payload) = if req_path == "/healthz" {
-            ("text/plain; charset=utf-8", health.as_str())
-        } else {
-            ("text/plain; version=0.0.4; charset=utf-8", body.as_str())
-        };
-        let response = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-            payload.len()
-        );
-        let _ = stream.write_all(response.as_bytes());
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        if once {
+        });
+        if answered && once {
             break;
         }
     }
@@ -1058,8 +1018,7 @@ fn timeline_daemon(rest: &[String]) -> ExitCode {
 fn top(dir: &std::path::Path) -> ExitCode {
     use rv_monitor::core::journal::AUX_GC_CYCLE;
     use rv_monitor::core::{
-        read_journal, EngineConfig, GcCycleRecord, MetricsRegistry, Phase, PhaseProfiler,
-        PropertyMonitor, Record,
+        read_journal, EngineConfig, GcCycleRecord, PhaseProfiler, PropertyMonitor, Record,
     };
 
     // A daemon root has no journal of its own — each tenant subdirectory
@@ -1099,10 +1058,7 @@ fn top(dir: &std::path::Path) -> ExitCode {
     let spec_name = spec.name.clone();
     let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
     let mut monitor = PropertyMonitor::with_observers(spec, &config, |i| {
-        (
-            MetricsRegistry::new(),
-            PhaseProfiler::new().with_label(&format!("{spec_name}/block{}", i + 1)),
-        )
+        PhaseProfiler::new().with_label(&format!("{spec_name}/block{}", i + 1))
     });
     let outcome = match replay_records(&scan, &event_params, &mut monitor, 0, None) {
         Ok(o) => o,
@@ -1112,8 +1068,7 @@ fn top(dir: &std::path::Path) -> ExitCode {
 
     let mut merged = PhaseProfiler::new().with_label("ALL");
     for engine in monitor.engines() {
-        let (_, profiler) = engine.observer();
-        merged.merge_from(profiler);
+        merged.merge_from(engine.observer());
     }
     let stats = monitor.stats();
     println!(
@@ -1122,25 +1077,8 @@ fn top(dir: &std::path::Path) -> ExitCode {
         scan.records.len(),
         dir.display()
     );
-    println!(
-        "{:<18} {:>8} {:>12} {:>12} {:>12} {:>14}",
-        "phase", "spans", "p50 ns", "p95 ns", "p99 ns", "total ns"
-    );
-    for p in Phase::ALL {
-        let h = merged.phase(p);
-        if h.count() == 0 {
-            continue;
-        }
-        println!(
-            "{:<18} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>14}",
-            p.label(),
-            h.count(),
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-            h.sum()
-        );
-    }
+    print_row(None, "phase", "spans", ["p50 ns", "p95 ns", "p99 ns"], "total ns");
+    print_phase_rows(None, &merged);
     println!(
         "E={} M={} FM={} CM={} triggers={}",
         stats.events,
@@ -1181,15 +1119,11 @@ fn top(dir: &std::path::Path) -> ExitCode {
 /// the daemon.
 fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) -> ExitCode {
     use rv_monitor::core::{
-        read_journal, EngineConfig, JournalWriter, MetricsRegistry, Phase, PhaseProfiler,
-        PropertyMonitor,
+        read_journal, EngineConfig, JournalWriter, Phase, PhaseProfiler, PropertyMonitor,
     };
 
     println!("rvmon top — daemon root {} with {} tenant(s)", root.display(), tenants.len());
-    println!(
-        "{:<12} {:<18} {:>8} {:>12} {:>12} {:>12} {:>14}",
-        "tenant", "phase", "spans", "p50 ns", "p95 ns", "p99 ns", "total ns"
-    );
+    print_row(Some("tenant"), "phase", "spans", ["p50 ns", "p95 ns", "p99 ns"], "total ns");
     let mut failures = 0usize;
     for (name, dir) in tenants {
         let result = (|| -> Result<(), String> {
@@ -1198,17 +1132,13 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
             let event_params = spec.event_params.clone();
             let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
             let mut monitor = PropertyMonitor::with_observers(spec, &config, |i| {
-                (
-                    MetricsRegistry::new(),
-                    PhaseProfiler::new().with_label(&format!("{name}/block{}", i + 1)),
-                )
+                PhaseProfiler::new().with_label(&format!("{name}/block{}", i + 1))
             });
             let outcome = replay_records(&scan, &event_params, &mut monitor, 0, None)?;
             monitor.finish(&outcome.heap);
             let mut merged = PhaseProfiler::new().with_label(name);
             for engine in monitor.engines() {
-                let (_, profiler) = engine.observer();
-                merged.merge_from(profiler);
+                merged.merge_from(engine.observer());
             }
             // Scratch re-append: same records, fresh journal, timed spans.
             let scratch =
@@ -1223,22 +1153,7 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
             }
             drop(journal);
             let _ = std::fs::remove_dir_all(&scratch);
-            for p in Phase::ALL {
-                let h = merged.phase(p);
-                if h.count() == 0 {
-                    continue;
-                }
-                println!(
-                    "{:<12} {:<18} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>14}",
-                    name,
-                    p.label(),
-                    h.count(),
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                    h.sum()
-                );
-            }
+            print_phase_rows(Some(name), &merged);
             let stats = monitor.stats();
             println!(
                 "{:<12} E={} M={} FM={} CM={} triggers={} ({} event(s) from {} record(s))",
@@ -1262,6 +1177,32 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
         return ExitCode::from(2);
     }
     ExitCode::SUCCESS
+}
+
+/// One `rvmon top` row per phase that recorded a span: span count,
+/// p50/p95/p99 and total nanoseconds, led by the tenant name on a
+/// daemon root.
+fn print_phase_rows(tenant: Option<&str>, prof: &rv_monitor::core::PhaseProfiler) {
+    for p in rv_monitor::core::Phase::ALL {
+        let h = prof.phase(p);
+        if h.count() > 0 {
+            let q = [0.50, 0.95, 0.99].map(|q| format!("{:.0}", h.quantile(q)));
+            print_row(tenant, p.label(), h.count(), q, h.sum());
+        }
+    }
+}
+
+/// One `rvmon top` table line (header or row) in fixed-width columns.
+fn print_row(
+    tenant: Option<&str>,
+    phase: &str,
+    spans: impl std::fmt::Display,
+    quantiles: [impl std::fmt::Display; 3],
+    total: impl std::fmt::Display,
+) {
+    let lead = tenant.map(|t| format!("{t:<12} ")).unwrap_or_default();
+    let [p50, p95, p99] = quantiles;
+    println!("{lead}{phase:<18} {spans:>8} {p50:>12} {p95:>12} {p99:>12} {total:>14}");
 }
 
 /// `rvmon run` — the journaled twin of `trace`: every event, directive,
