@@ -213,6 +213,9 @@ open(sys.argv[2], "wb").write(urllib.request.urlopen(sys.argv[1], timeout=10).re
         || { echo "tenant bad counters drifted across restart"; exit 1; }
     kill -TERM "$RVD_PID"
     wait "$RVD_PID"
+    # The replay tools re-drive the drained root's journals offline.
+    ./target/release/rvmon top "$RVD_DIR" >/dev/null
+    ./target/release/rvmon replay "$RVD_DIR/good" >/dev/null
     rm -rf "$RVD_DIR" "$RVD_OUT" "$HEALTH"
 fi
 cargo test -q --release --test cli_rvmond --test service_isolation >/dev/null
@@ -348,6 +351,10 @@ fi
 kill -TERM "$CLEAN_PID" "$CHAOS_PID"
 wait "$CLEAN_PID" || { echo "clean rvmond drain exited nonzero"; exit 1; }
 wait "$CHAOS_PID" || { echo "chaos rvmond drain exited nonzero"; exit 1; }
+# Tenant `u` was SIGHUP-reloaded to spec v2: the replay tools must
+# follow its AUX_RELOAD cutover.
+./target/release/rvmon top "$NCH_CHAOS" >/dev/null
+./target/release/rvmon replay "$NCH_CHAOS/u" >/dev/null
 rm -rf "$NCH_CLEAN" "$NCH_CHAOS" "$NCH_SPECS" "$NCH_OUT1" "$NCH_OUT2" \
     "$NCH_PROXY" "$NCH_FIFO" "$NCH_J1" "$NCH_J2" "$NCH_H1" "$NCH_H2"
 cargo test -q --release --test netchaos_differential --test self_healing \

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use rv_core::journal::{AUX_FREE, AUX_GC};
 use rv_core::snapshot::write_checkpoint;
 use rv_core::{
-    load_latest_checkpoint, read_journal, Binding, EngineConfig, GcPolicy, JournalStats,
-    JournalWriter, PropertyMonitor, Record,
+    plan_recovery, Binding, EngineConfig, GcPolicy, JournalStats, JournalWriter, NoopObserver,
+    PropertyMonitor, Record,
 };
 use rv_heap::{Heap, HeapConfig, ObjId, SplitMix64};
 use rv_logic::EventId;
@@ -194,55 +194,20 @@ fn run_journaled(
     // Recovery: scan, restore the newest checkpoint, rebuild the heap
     // from the record prefix, replay the suffix.
     let start = Instant::now();
-    let scan = read_journal(dir).expect("scan journal");
-    let (checkpoint, skipped) = load_latest_checkpoint(dir, scan.next_seq);
-    assert!(skipped.is_empty(), "clean run must not skip checkpoints: {skipped:?}");
-    let mut recovered = PropertyMonitor::new(spec.clone(), &config);
-    let mut replay_from = 0u64;
-    if let Some(cp) = &checkpoint {
-        recovered.restore_snapshot(&cp.payload, &cp.file).expect("restore checkpoint");
-        replay_from = cp.seq;
-    }
-    let mut rheap = Heap::new(HeapConfig::manual());
-    let rclass = rheap.register_class("Obj");
-    let mut known = std::collections::HashSet::new();
-    let mut replayed = 0u64;
-    for sr in &scan.records {
-        match &sr.record {
-            Record::Aux { tag, bytes } if *tag == AUX_FREE => {
-                for chunk in bytes.chunks_exact(8) {
-                    let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    rheap.unpin(ObjId::from_bits(bits));
-                }
-            }
-            Record::Aux { tag, .. } if *tag == AUX_GC => {
-                rheap.collect();
-            }
-            Record::Event { event, binding } => {
-                for &p in &spec.event_params[event.as_usize()] {
-                    let obj = binding.get(p).expect("event binds its declared params");
-                    if known.insert(obj.to_bits()) {
-                        let frame = rheap.enter_frame();
-                        let fresh = rheap.alloc(rclass);
-                        rheap.pin(fresh);
-                        rheap.exit_frame(frame);
-                        assert_eq!(fresh, obj, "heap replay must reproduce ObjIds");
-                    }
-                }
-                if sr.seq >= replay_from {
-                    recovered.process(&rheap, *event, *binding);
-                    replayed += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    recovered.reflag_dead_keys(&rheap);
-    recovered.check_invariants(&rheap).expect("recovered state is sound");
-    recovered.finish(&rheap);
+    let plan = plan_recovery(dir).expect("scan journal");
+    assert!(
+        plan.skipped_checkpoints.is_empty(),
+        "clean run must not skip checkpoints: {:?}",
+        plan.skipped_checkpoints
+    );
+    let mut recovered = plan.replay(&config, |_| NoopObserver).expect("replay journal");
+    let (monitor, rheap) = (&mut recovered.monitor, &recovered.heap);
+    monitor.reflag_dead_keys(rheap);
+    monitor.check_invariants(rheap).expect("recovered state is sound");
+    monitor.finish(rheap);
     let recover = start.elapsed();
-    assert_eq!(recovered.triggers(), triggers, "recovery must reproduce the verdicts");
-    (journaled, jstats, generation, checkpoint_bytes, recover, replayed, triggers)
+    assert_eq!(monitor.triggers(), triggers, "recovery must reproduce the verdicts");
+    (journaled, jstats, generation, checkpoint_bytes, recover, recovered.events, triggers)
 }
 
 fn ms(d: Duration) -> f64 {

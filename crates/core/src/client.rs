@@ -190,12 +190,6 @@ impl ResilientClient {
         self.stats
     }
 
-    /// The client-side `(event_seq, ordinal)` trigger high-water mark.
-    #[must_use]
-    pub fn trigger_hwm(&self) -> (u64, u32) {
-        self.hwm
-    }
-
     /// This client's session id.
     #[must_use]
     pub fn session(&self) -> u64 {

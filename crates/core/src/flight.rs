@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::obs::{json_escape, json_f64, Histogram};
+use crate::obs::{json_f64, Histogram};
 use crate::profile::{chrome_trace_json, SpanLog};
 
 // ---------------------------------------------------------------------------
@@ -682,17 +682,6 @@ impl FlightDump {
         }
         let lanes: Vec<(String, &SpanLog)> = logs.iter().map(|(n, l)| (n.clone(), l)).collect();
         chrome_trace_json(&lanes)
-    }
-
-    /// Summary JSON (used by tests and tooling sanity checks).
-    #[must_use]
-    pub fn to_json_summary(&self) -> String {
-        format!(
-            "{{\"reason\":\"{}\",\"events\":{},\"traces\":{}}}",
-            json_escape(&self.reason),
-            self.events.len(),
-            self.traces.len()
-        )
     }
 }
 

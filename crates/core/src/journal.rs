@@ -104,8 +104,8 @@ pub const AUX_GC_CYCLE: u8 = 4;
 /// session (payload: object bits as `u64` LE, then the client-visible
 /// object name in UTF-8). The service layer journals one per allocation
 /// so recovery can rebuild the name → `ObjId` map its clients keep
-/// using; `rvmon replay` ignores the tag (allocation order is already
-/// implied by the event records).
+/// using. (`rvmon run` journals write none: their event records imply
+/// allocation order by first mention.)
 pub const AUX_OBJ: u8 = 5;
 /// Auxiliary record tag: one session-scoped trace line from a
 /// `rvmond` client (payload: `session: u64 LE`, `cseq: u64 LE`, then
@@ -123,13 +123,66 @@ pub const AUX_SLINE: u8 = 6;
 /// exactly once even when the client's resend window still holds it.
 pub const AUX_FATAL: u8 = 7;
 /// Auxiliary record tag: a hot spec reload cutover (payload:
-/// `token: u64 LE`, then the new spec source in UTF-8). The old
-/// engine is checkpointed at its exact journal tail immediately before
-/// this record; replay swaps in a fresh engine compiled from the new
-/// source when it crosses the record. The token makes reloads
-/// idempotent: a client retrying a reload whose acknowledgement was
-/// lost in transit cannot cut over twice.
+/// `token: u64 LE`, the six cumulative tenant counters as `u64` LE,
+/// then the new spec source in UTF-8). The old engine is checkpointed
+/// at its exact journal tail immediately before this record; replay
+/// swaps in a fresh engine compiled from the new source when it
+/// crosses the record. The token makes reloads idempotent: a client
+/// retrying a reload whose acknowledgement was lost in transit cannot
+/// cut over twice.
 pub const AUX_RELOAD: u8 = 8;
+
+/// Cumulative engine counters carried across hot reloads (and, via the
+/// [`AUX_RELOAD`] payload, across daemon restarts): a reload folds the
+/// outgoing engine's totals into this base so the tenant's public
+/// counters stay monotonic while the engine itself starts fresh.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub(crate) struct BaseCounters {
+    pub(crate) events: u64,
+    pub(crate) triggers: u64,
+    pub(crate) quarantined: u64,
+    pub(crate) budget_trips: u64,
+    pub(crate) degradations: u64,
+    pub(crate) shed: u64,
+}
+
+impl BaseCounters {
+    /// The [`AUX_RELOAD`] payload: `[token][6 × u64 counters][spec source]`.
+    pub(crate) fn encode_reload(self, token: u64, source: &str) -> Vec<u8> {
+        let mut out = Vec::with_capacity(56 + source.len());
+        for v in [
+            token,
+            self.events,
+            self.triggers,
+            self.quarantined,
+            self.budget_trips,
+            self.degradations,
+            self.shed,
+        ] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(source.as_bytes());
+        out
+    }
+
+    /// Decodes an [`AUX_RELOAD`] payload into `(token, base, source)`.
+    pub(crate) fn decode_reload(bytes: &[u8]) -> Option<(u64, BaseCounters, String)> {
+        if bytes.len() < 56 {
+            return None;
+        }
+        let u = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        let base = BaseCounters {
+            events: u(1),
+            triggers: u(2),
+            quarantined: u(3),
+            budget_trips: u(4),
+            degradations: u(5),
+            shed: u(6),
+        };
+        Some((u(0), base, String::from_utf8(bytes[56..].to_vec()).ok()?))
+    }
+}
+
 /// Auxiliary record tag: crash-harness pool initialisation (payload:
 /// pool size as `u32`).
 pub const AUX_CT_INIT: u8 = 16;

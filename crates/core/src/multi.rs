@@ -15,6 +15,7 @@ use crate::binding::Binding;
 use crate::engine::{Engine, EngineConfig};
 use crate::error::EngineError;
 use crate::obs::{EngineObserver, NoopObserver};
+use crate::service::TriggerRecord;
 use crate::stats::EngineStats;
 
 /// Monitors every property block of one compiled spec.
@@ -118,6 +119,43 @@ impl<O: EngineObserver> PropertyMonitor<O> {
     ) -> Result<(), EngineError> {
         for engine in &mut self.engines {
             engine.try_process(heap, event, binding)?;
+        }
+        Ok(())
+    }
+
+    /// [`try_process`](Self::try_process) that also hands `fired` every
+    /// goal report the event fires, keyed `(seq, ordinal)`: `seq` is the
+    /// journal sequence of the event's record and `ordinal` counts the
+    /// event's reports across blocks in engine order — the exactly-once
+    /// key journals and recovery share. Reports are only seen when the
+    /// engines record them ([`EngineConfig::record_triggers`]).
+    ///
+    /// # Errors
+    ///
+    /// The first [`EngineError`] any block reports.
+    pub fn try_process_keyed(
+        &mut self,
+        heap: &Heap,
+        event: EventId,
+        binding: Binding,
+        seq: u64,
+        mut fired: impl FnMut(TriggerRecord),
+    ) -> Result<(), EngineError> {
+        let mut ordinal = 0u32;
+        for (block, engine) in self.engines.iter_mut().enumerate() {
+            let before = engine.triggers().len();
+            engine.try_process(heap, event, binding)?;
+            for t in &engine.triggers()[before..] {
+                fired(TriggerRecord {
+                    event_seq: seq,
+                    ordinal,
+                    block: block as u16,
+                    step: t.step as u64,
+                    verdict: t.verdict,
+                    binding: t.binding,
+                });
+                ordinal += 1;
+            }
         }
         Ok(())
     }

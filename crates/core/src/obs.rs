@@ -1520,28 +1520,6 @@ impl MetricsRegistry {
         &self.event_latency_ns
     }
 
-    /// Mean monitor allocations per dispatched event — the windowless
-    /// allocation rate (a per-event rate, since the registry has no
-    /// clock of its own).
-    #[must_use]
-    pub fn alloc_rate_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.created as f64 / self.events as f64
-        }
-    }
-
-    /// Mean monitor flaggings per dispatched event.
-    #[must_use]
-    pub fn flag_rate_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.flagged as f64 / self.events as f64
-        }
-    }
-
     /// Accumulates another registry into this one — the per-shard metrics
     /// aggregation path: every counter sums (saturating) and every
     /// histogram merges via [`Histogram::merge_from`].

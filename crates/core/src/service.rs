@@ -76,14 +76,14 @@ use crate::flight::{
     StageStats, FLIGHT_CAP,
 };
 use crate::journal::{
-    crc32, read_journal, JournalScan, JournalWriter, Record, RetryPolicy, AUX_FATAL, AUX_FREE,
-    AUX_GC, AUX_OBJ, AUX_RELOAD, AUX_SLINE, AUX_SPEC, AUX_SWEEP,
+    crc32, BaseCounters, JournalWriter, Record, RetryPolicy, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ,
+    AUX_RELOAD, AUX_SLINE, AUX_SPEC, AUX_SWEEP,
 };
 use crate::multi::PropertyMonitor;
 use crate::obs::{json_escape, MetricsRegistry};
 use crate::profile::PromWriter;
 use crate::slo::{SloConfig, SloSnapshot, SloTracker};
-use crate::snapshot::{list_checkpoints, load_latest_checkpoint, write_checkpoint};
+use crate::snapshot::{list_checkpoints, plan_recovery, write_checkpoint, ReplayError, Replayed};
 
 // --- Wire protocol -------------------------------------------------------
 
@@ -686,7 +686,9 @@ impl TriggerRecord {
         )
     }
 
-    fn to_record(self) -> Record {
+    /// The journal record of this report.
+    #[must_use]
+    pub fn to_record(self) -> Record {
         Record::Trigger {
             event_seq: self.event_seq,
             ordinal: self.ordinal,
@@ -2323,56 +2325,6 @@ fn supervisor_loop(
     }
 }
 
-/// Cumulative engine counters carried across hot reloads (and, via the
-/// `AUX_RELOAD` journal payload, across daemon restarts): a reload
-/// folds the outgoing engine's totals into this base so the tenant's
-/// public counters stay monotonic while the engine itself starts fresh.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-struct BaseCounters {
-    events: u64,
-    triggers: u64,
-    quarantined: u64,
-    budget_trips: u64,
-    degradations: u64,
-    shed: u64,
-}
-
-impl BaseCounters {
-    /// `AUX_RELOAD` payload: `[token][6 × u64 counters][spec source]`.
-    fn encode_reload(self, token: u64, source: &str) -> Vec<u8> {
-        let mut out = Vec::with_capacity(56 + source.len());
-        for v in [
-            token,
-            self.events,
-            self.triggers,
-            self.quarantined,
-            self.budget_trips,
-            self.degradations,
-            self.shed,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(source.as_bytes());
-        out
-    }
-
-    fn decode_reload(bytes: &[u8]) -> Option<(u64, BaseCounters, String)> {
-        if bytes.len() < 56 {
-            return None;
-        }
-        let u = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-        let base = BaseCounters {
-            events: u(1),
-            triggers: u(2),
-            quarantined: u(3),
-            budget_trips: u(4),
-            degradations: u(5),
-            shed: u(6),
-        };
-        Some((u(0), base, String::from_utf8(bytes[56..].to_vec()).ok()?))
-    }
-}
-
 /// Everything a tenant worker owns — engines, heap, naming, journal.
 /// Lives entirely on the worker thread; nothing here is `Send`.
 struct Worker {
@@ -2464,13 +2416,11 @@ impl Worker {
         let mut recovered_events = 0u64;
         let mut suppressed = 0u64;
         let (mut w, current_source) = if has_journal {
-            let scan = read_journal(dir).map_err(|e| internal(e.to_string()))?;
-            // Every spec the journal ever carried: creation (`AUX_SPEC`,
-            // seq 0) plus one entry per hot reload.
-            let specs = spec_records_of(&scan);
-            let current_source = specs
+            let plan = plan_recovery(dir).map_err(|e| internal(e.to_string()))?;
+            let current_source = plan
+                .specs
                 .last()
-                .map(|s| s.source.clone())
+                .map(|(_, source)| source.clone())
                 .ok_or_else(|| internal("journal carries no spec header".into()))?;
             if let Some(src) = &spec_source {
                 if spec_hash(src) != spec_hash(&current_source) {
@@ -2480,24 +2430,6 @@ impl Worker {
                     ));
                 }
             }
-            let (checkpoint, _skipped) = load_latest_checkpoint(dir, scan.next_seq);
-            let replay_from = checkpoint.as_ref().map_or(0, |cp| cp.seq);
-            // The monitor to restore into must speak the spec in force
-            // at the checkpoint — the last cutover at or before
-            // `replay_from`; replay swaps in later reloads as it
-            // crosses their `AUX_RELOAD` records.
-            let initial = specs.iter().rev().find(|s| s.seq <= replay_from).unwrap_or(&specs[0]);
-            let spec = CompiledSpec::from_source(&initial.source).map_err(|d| {
-                (REJECT_BAD_SPEC, format!("journaled spec no longer compiles: {}", d.message))
-            })?;
-            let mut monitor =
-                PropertyMonitor::with_observers(spec, &engine_cfg, |_| MetricsRegistry::new());
-            if let Some(cp) = &checkpoint {
-                monitor
-                    .restore_snapshot(&cp.payload, &cp.file)
-                    .map_err(|e| internal(e.to_string()))?;
-            }
-            let hwm = scan.trigger_high_water_mark();
             let Replayed {
                 monitor: mut replayed_monitor,
                 heap,
@@ -2510,13 +2442,16 @@ impl Worker {
                 spec_version,
                 reload_token,
                 base,
-            } = replay_tenant(&scan, monitor, &engine_cfg, replay_from, hwm).map_err(internal)?;
+            } = plan.replay(&engine_cfg, |_| MetricsRegistry::new()).map_err(|e| match e {
+                ReplayError::Spec(msg) => (REJECT_BAD_SPEC, msg),
+                ReplayError::Corrupt(msg) => internal(msg),
+            })?;
             recovered_events = events;
             suppressed = replay_suppressed;
             replayed_monitor.reflag_dead_keys(&heap);
             replayed_monitor.check_invariants(&heap).map_err(|e| internal(e.to_string()))?;
             let mut journal =
-                JournalWriter::resume(dir, &scan).map_err(|e| internal(e.to_string()))?;
+                JournalWriter::resume(dir, &plan.scan).map_err(|e| internal(e.to_string()))?;
             // Reports that fired past the durable HWM during replay were
             // lost between dispatch and trigger-journaling before the
             // crash. They are first-time deliveries — journal them now
@@ -2536,7 +2471,7 @@ impl Worker {
             {
                 let mut log = triggers.lock().expect("trigger log poisoned");
                 log.reset(config.trigger_log_cap);
-                for sr in &scan.records {
+                for sr in &plan.scan.records {
                     if let Some(t) = TriggerRecord::from_record(&sr.record) {
                         log.push(t);
                     }
@@ -3083,45 +3018,20 @@ impl Worker {
                 };
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 trace.seq = seq;
-                let before: Vec<usize> =
-                    self.monitor.engines().iter().map(|e| e.triggers().len()).collect();
                 let t0 = Instant::now();
+                let mut fired = Vec::new();
                 self.monitor
-                    .try_process(&self.heap, event, binding)
+                    .try_process_keyed(&self.heap, event, binding, seq, |t| fired.push(t))
                     .map_err(|e| Fatal(format!("engine error: {e}")))?;
                 trace.stages[Stage::Engine.idx()] = span_ns(t0);
-                let mut ordinal = 0u32;
-                let fired: Vec<Record> = self
-                    .monitor
-                    .engines()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(bi, engine)| {
-                        engine.triggers()[before[bi]..].iter().map(move |t| (bi, *t))
-                    })
-                    .map(|(bi, t)| {
-                        let r = Record::Trigger {
-                            event_seq: seq,
-                            ordinal,
-                            block: bi as u16,
-                            step: t.step as u64,
-                            verdict: t.verdict,
-                            binding: t.binding,
-                        };
-                        ordinal += 1;
-                        r
-                    })
-                    .collect();
                 let t0 = Instant::now();
-                for r in &fired {
-                    self.append(r)?;
+                for t in &fired {
+                    self.append(&t.to_record())?;
                 }
                 if !fired.is_empty() {
                     let mut log = self.triggers.lock().expect("trigger log poisoned");
-                    for r in &fired {
-                        if let Some(t) = TriggerRecord::from_record(r) {
-                            log.push(t);
-                        }
+                    for t in &fired {
+                        log.push(*t);
                     }
                     trace.stages[Stage::TriggerDelivery.idx()] = span_ns(t0);
                 }
@@ -3147,325 +3057,6 @@ impl Worker {
         self.obs.slo.lock().expect("slo poisoned").record_request(total_us);
         Ok(())
     }
-}
-
-// --- Recovery ------------------------------------------------------------
-
-/// One spec the journal carries: the creation `AUX_SPEC` (seq 0) or a
-/// hot-reload `AUX_RELOAD` cutover.
-struct SpecRec {
-    seq: u64,
-    source: String,
-}
-
-fn spec_records_of(scan: &JournalScan) -> Vec<SpecRec> {
-    let mut out = Vec::new();
-    for sr in &scan.records {
-        match &sr.record {
-            Record::Aux { tag, bytes } if *tag == AUX_SPEC => {
-                if let Ok(source) = String::from_utf8(bytes.clone()) {
-                    out.push(SpecRec { seq: sr.seq, source });
-                }
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_RELOAD => {
-                if let Some((_, _, source)) = BaseCounters::decode_reload(bytes) {
-                    out.push(SpecRec { seq: sr.seq, source });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// The spec source currently in force per the journal: the newest of
-/// the creation `AUX_SPEC` record and any `AUX_RELOAD` cutovers.
-#[must_use]
-pub fn spec_source_of(scan: &JournalScan) -> Option<String> {
-    spec_records_of(scan).pop().map(|s| s.source)
-}
-
-struct Replayed {
-    monitor: PropertyMonitor<MetricsRegistry>,
-    heap: Heap,
-    class: rv_heap::ClassId,
-    objects: HashMap<String, ObjId>,
-    events: u64,
-    suppressed: u64,
-    /// Reports that fired during replay with keys past the journaled
-    /// HWM — first-time deliveries the crash tore from the journal.
-    refired: Vec<TriggerRecord>,
-    /// Per-session `cseq` high-water marks from `AUX_SLINE`/`AUX_FATAL`.
-    sessions: HashMap<u64, u64>,
-    spec_version: u64,
-    reload_token: u64,
-    base: BaseCounters,
-}
-
-/// Dispatches one replayed event and classifies every report it fires:
-/// at or below the durable HWM → already delivered, suppress; past it →
-/// a refired first-time delivery.
-fn replay_dispatch(
-    monitor: &mut PropertyMonitor<MetricsRegistry>,
-    heap: &Heap,
-    seq: u64,
-    event: rv_logic::EventId,
-    binding: Binding,
-    hwm: Option<(u64, u32)>,
-    suppressed: &mut u64,
-    refired: &mut Vec<TriggerRecord>,
-) -> Result<(), String> {
-    let before: Vec<usize> = monitor.engines().iter().map(|e| e.triggers().len()).collect();
-    monitor
-        .try_process(heap, event, binding)
-        .map_err(|e| format!("engine error at record {seq}: {e}"))?;
-    let mut ordinal = 0u32;
-    for (bi, engine) in monitor.engines().iter().enumerate() {
-        for t in &engine.triggers()[before[bi]..] {
-            if hwm.is_some_and(|h| (seq, ordinal) <= h) {
-                *suppressed += 1;
-            } else {
-                refired.push(TriggerRecord {
-                    event_seq: seq,
-                    ordinal,
-                    block: bi as u16,
-                    step: t.step as u64,
-                    verdict: t.verdict,
-                    binding: t.binding,
-                });
-            }
-            ordinal += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Replays a tenant journal: rebuilds the heap and the client-visible
-/// name → `ObjId` map from `AUX_OBJ` records, the per-session dedup
-/// HWMs from `AUX_SLINE`/`AUX_FATAL`, and the spec lineage from
-/// `AUX_RELOAD` (swapping in a fresh engine at each cutover past
-/// `replay_from`); feeds events with seq ≥ `replay_from`, suppressing
-/// goal reports at or below the durable high-water mark — exactly-once
-/// delivery across the crash.
-#[allow(clippy::too_many_lines)]
-fn replay_tenant(
-    scan: &JournalScan,
-    mut monitor: PropertyMonitor<MetricsRegistry>,
-    engine_cfg: &EngineConfig,
-    replay_from: u64,
-    hwm: Option<(u64, u32)>,
-) -> Result<Replayed, String> {
-    let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut objects: HashMap<String, ObjId> = HashMap::new();
-    let mut known: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut events = 0u64;
-    let mut suppressed = 0u64;
-    let mut refired: Vec<TriggerRecord> = Vec::new();
-    let mut sessions: HashMap<u64, u64> = HashMap::new();
-    let mut spec_version = 1u64;
-    let mut reload_token = 0u64;
-    let mut base = BaseCounters::default();
-    let note = |sessions: &mut HashMap<u64, u64>, session: u64, cseq: u64| {
-        if session != 0 {
-            let hwm = sessions.entry(session).or_insert(0);
-            if cseq > *hwm {
-                *hwm = cseq;
-            }
-        }
-    };
-    for sr in &scan.records {
-        match &sr.record {
-            Record::Aux { tag, .. } if *tag == AUX_GC => {
-                heap.collect();
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_OBJ => {
-                let Some(bits) =
-                    bytes.get(..8).and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-                else {
-                    return Err(format!("journal record {}: truncated AUX_OBJ", sr.seq));
-                };
-                let name = String::from_utf8_lossy(&bytes[8..]).into_owned();
-                let obj = ObjId::from_bits(bits);
-                if known.insert(bits) {
-                    let frame = heap.enter_frame();
-                    let fresh = heap.alloc(class);
-                    heap.pin(fresh);
-                    heap.exit_frame(frame);
-                    if fresh != obj {
-                        return Err(format!(
-                            "heap replay diverged at record {}: journal names object {bits:#x} \
-                             but the rebuilt heap allocated {:#x}",
-                            sr.seq,
-                            fresh.to_bits()
-                        ));
-                    }
-                }
-                objects.insert(name, obj);
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_FREE => {
-                for chunk in bytes.chunks_exact(8) {
-                    let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    if !known.contains(&bits) {
-                        return Err(format!(
-                            "journal record {} frees object {bits:#x} never allocated",
-                            sr.seq
-                        ));
-                    }
-                    heap.unpin(ObjId::from_bits(bits));
-                }
-            }
-            Record::Aux { tag, .. } if *tag == AUX_SWEEP => {
-                if sr.seq >= replay_from {
-                    for engine in monitor.engines_mut() {
-                        engine.full_sweep(&heap);
-                    }
-                }
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_SLINE => {
-                if bytes.len() < 16 {
-                    return Err(format!("journal record {}: truncated AUX_SLINE", sr.seq));
-                }
-                let session = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-                let cseq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-                let line = String::from_utf8_lossy(&bytes[16..]).into_owned();
-                note(&mut sessions, session, cseq);
-                let mut words = line.split_whitespace();
-                match words.next() {
-                    Some("!gc") => {
-                        heap.collect();
-                    }
-                    Some("!sweep") => {
-                        if sr.seq >= replay_from {
-                            for engine in monitor.engines_mut() {
-                                engine.full_sweep(&heap);
-                            }
-                        }
-                    }
-                    Some("!free") => {
-                        for name in words {
-                            let Some(&obj) = objects.get(name) else {
-                                return Err(format!(
-                                    "journal record {} frees unknown object `{name}`",
-                                    sr.seq
-                                ));
-                            };
-                            heap.unpin(obj);
-                        }
-                    }
-                    Some(event_name) => {
-                        let Some(event) = monitor.spec().alphabet.lookup(event_name) else {
-                            return Err(format!(
-                                "journal record {}: unknown event `{event_name}`",
-                                sr.seq
-                            ));
-                        };
-                        let params = monitor.spec().event_params[event.as_usize()].clone();
-                        let mut pairs = Vec::with_capacity(params.len());
-                        for (&p, name) in params.iter().zip(words) {
-                            let Some(&obj) = objects.get(name) else {
-                                return Err(format!(
-                                    "journal record {} references `{name}` with no AUX_OBJ \
-                                     record",
-                                    sr.seq
-                                ));
-                            };
-                            pairs.push((p, obj));
-                        }
-                        if pairs.len() != params.len() {
-                            return Err(format!(
-                                "journal record {}: event arity mismatch in `{line}`",
-                                sr.seq
-                            ));
-                        }
-                        let binding = Binding::from_pairs(&pairs);
-                        if sr.seq >= replay_from {
-                            replay_dispatch(
-                                &mut monitor,
-                                &heap,
-                                sr.seq,
-                                event,
-                                binding,
-                                hwm,
-                                &mut suppressed,
-                                &mut refired,
-                            )?;
-                            events += 1;
-                        }
-                    }
-                    None => {}
-                }
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_FATAL => {
-                if bytes.len() < 16 {
-                    return Err(format!("journal record {}: truncated AUX_FATAL", sr.seq));
-                }
-                let session = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-                let cseq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-                // The dedup mark of a `!fatal` that already killed one
-                // incarnation: advancing the HWM here is what turns the
-                // client's resend into a no-op instead of a kill loop.
-                note(&mut sessions, session, cseq);
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_RELOAD => {
-                let Some((token, reload_base, source)) = BaseCounters::decode_reload(bytes) else {
-                    return Err(format!("journal record {}: malformed AUX_RELOAD", sr.seq));
-                };
-                spec_version += 1;
-                reload_token = token;
-                base = reload_base;
-                if sr.seq > replay_from {
-                    let spec = CompiledSpec::from_source(&source).map_err(|d| {
-                        format!(
-                            "journal record {}: reloaded spec no longer compiles: {}",
-                            sr.seq, d.message
-                        )
-                    })?;
-                    monitor = PropertyMonitor::with_observers(spec, engine_cfg, |_| {
-                        MetricsRegistry::new()
-                    });
-                }
-            }
-            Record::Event { event, binding } => {
-                for (_, obj) in binding.iter() {
-                    if !known.contains(&obj.to_bits()) {
-                        return Err(format!(
-                            "journal record {} references object {:#x} with no AUX_OBJ record",
-                            sr.seq,
-                            obj.to_bits()
-                        ));
-                    }
-                }
-                if sr.seq >= replay_from {
-                    replay_dispatch(
-                        &mut monitor,
-                        &heap,
-                        sr.seq,
-                        *event,
-                        *binding,
-                        hwm,
-                        &mut suppressed,
-                        &mut refired,
-                    )?;
-                    events += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(Replayed {
-        monitor,
-        heap,
-        class,
-        objects,
-        events,
-        suppressed,
-        refired,
-        sessions,
-        spec_version,
-        reload_token,
-        base,
-    })
 }
 
 #[cfg(test)]

@@ -21,17 +21,33 @@
 //! directory listing and picks the newest usable checkpoint whose covered
 //! sequence does not exceed the durable journal prefix (a checkpoint that
 //! "knows more" than the journal is unusable: the heap history needed to
-//! replay past it was lost with the torn tail).
+//! replay past it was lost with the torn tail). [`Recovery::replay`] then
+//! turns the plan back into a running monitor — the one journal replayer
+//! `rvmond`, `rvmon recover`/`replay`/`top` and the recovery bench share.
 //!
 //! [`Engine::snapshot_bytes`]: crate::Engine::snapshot_bytes
 //! [`PropertyMonitor::snapshot_bytes`]: crate::PropertyMonitor::snapshot_bytes
 
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use rv_heap::{ClassId, Heap, HeapConfig, ObjId};
+use rv_logic::EventId;
+use rv_spec::CompiledSpec;
+
+use crate::binding::Binding;
+use crate::engine::EngineConfig;
 use crate::error::EngineError;
-use crate::journal::{crc32, read_journal, JournalScan};
+use crate::journal::{
+    crc32, read_journal, BaseCounters, JournalScan, Record, AUX_FATAL, AUX_FREE, AUX_GC, AUX_OBJ,
+    AUX_RELOAD, AUX_SLINE, AUX_SPEC, AUX_SWEEP,
+};
+use crate::multi::PropertyMonitor;
+use crate::obs::EngineObserver;
+use crate::service::TriggerRecord;
 
 /// Checkpoint file magic: the first four bytes.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RVCK";
@@ -273,19 +289,76 @@ pub fn load_latest_checkpoint(dir: &Path, max_seq: u64) -> (Option<Checkpoint>, 
     (None, skipped)
 }
 
-/// Everything recovery needs, in one plan: the durable journal prefix and
-/// the checkpoint (if any) restoration should start from.
+/// Everything recovery needs, in one plan: the durable journal prefix,
+/// the checkpoint (if any) restoration should start from, and the spec
+/// lineage replay compiles engines from.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Recovery {
     /// The durable journal prefix (plus where a torn tail was cut).
     pub scan: JournalScan,
     /// The newest usable checkpoint, if any. `None` means a full replay
-    /// from sequence 0.
+    /// from sequence 0 — audits set it so on purpose.
     pub checkpoint: Option<Checkpoint>,
     /// Checkpoints that existed but had to be skipped (corrupt, stale
     /// version, or covering more records than the journal retained), with
     /// reasons — for audit output.
     pub skipped_checkpoints: Vec<String>,
+    /// Every spec the journal carries as `(seq, source)`: the `AUX_SPEC`
+    /// record at sequence 0, then one entry per `AUX_RELOAD` cutover.
+    /// Empty when the journal does not begin with a spec record.
+    pub(crate) specs: Vec<(u64, String)>,
+}
+
+/// Why [`Recovery::replay`] could not rebuild the monitor.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum ReplayError {
+    /// A spec the checkpoint or the records before it speak no longer
+    /// compiles.
+    Spec(String),
+    /// The journal or the checkpoint does not replay.
+    Corrupt(String),
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::Spec(msg) | ReplayError::Corrupt(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+/// What [`Recovery::replay`] rebuilt. Callers finish the job their own
+/// way (`reflag_dead_keys`, `check_invariants`, `finish`, resuming the
+/// journal).
+#[derive(Debug)]
+pub struct Replayed<O: EngineObserver> {
+    /// The monitor for the spec in force at the end of the journal.
+    pub monitor: PropertyMonitor<O>,
+    /// The heap rebuilt from the whole record prefix (identical
+    /// `ObjId`s: allocation order is replayed exactly).
+    pub heap: Heap,
+    /// The heap class every journaled object is allocated in.
+    pub(crate) class: ClassId,
+    /// The client-visible name → `ObjId` map from `AUX_OBJ` records.
+    pub(crate) objects: HashMap<String, ObjId>,
+    /// Events dispatched past the checkpoint, across every spec.
+    pub events: u64,
+    /// Reports at or below the journaled trigger high-water mark:
+    /// already delivered, so not reported again.
+    pub suppressed: u64,
+    /// Reports past the high-water mark, in key order — first-time
+    /// deliveries a crash tore from the journal.
+    pub(crate) refired: Vec<TriggerRecord>,
+    /// Per-session `cseq` high-water marks from `AUX_SLINE`/`AUX_FATAL`.
+    pub(crate) sessions: HashMap<u64, u64>,
+    /// 1 plus the number of `AUX_RELOAD` cutovers.
+    pub(crate) spec_version: u64,
+    /// The token of the last cutover (0 if none).
+    pub(crate) reload_token: u64,
+    /// The counter base the last cutover carried.
+    pub(crate) base: BaseCounters,
 }
 
 impl Recovery {
@@ -295,9 +368,305 @@ impl Recovery {
     pub fn replay_from(&self) -> u64 {
         self.checkpoint.as_ref().map_or(0, |c| c.seq)
     }
+
+    /// Rebuilds the monitor the journal describes: compiles the spec in
+    /// force at the checkpoint and restores the checkpoint into it,
+    /// rebuilds the heap and the name → `ObjId` map from the whole record
+    /// prefix, and dispatches every event from [`replay_from`] on —
+    /// swapping in a fresh engine (observers from `observers`) at each
+    /// `AUX_RELOAD` past the checkpoint. Reports at or below the
+    /// journal's trigger high-water mark are counted as suppressed; the
+    /// rest are returned as refired. Triggers are always recorded,
+    /// whatever `config.record_triggers` says.
+    ///
+    /// Both record dialects replay: `rvmond` journals (`AUX_OBJ`,
+    /// `AUX_SLINE`, `AUX_FATAL`, `AUX_RELOAD`, plus session-0 events and
+    /// directives) and `rvmon run` journals (`Event`, `AUX_GC`,
+    /// `AUX_FREE`, `AUX_SWEEP`). An `Event` naming an object no earlier
+    /// record allocated is accepted only if it is exactly the rebuilt
+    /// heap's next allocation (objects are first-mentioned in declared
+    /// parameter order).
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::Spec`] when a spec in force at or before the
+    /// checkpoint no longer compiles; [`ReplayError::Corrupt`] when the
+    /// journal does not
+    /// begin with a spec record, the checkpoint does not restore, or a
+    /// record does not replay (truncated payload, unknown event or
+    /// object, arity mismatch, heap divergence, engine error).
+    ///
+    /// [`replay_from`]: Self::replay_from
+    pub fn replay<O: EngineObserver>(
+        &self,
+        config: &EngineConfig,
+        mut observers: impl FnMut(usize) -> O,
+    ) -> Result<Replayed<O>, ReplayError> {
+        let config = &EngineConfig { record_triggers: true, ..config.clone() };
+        let replay_from = self.replay_from();
+        let Some((_, first)) = self.specs.first() else {
+            return Err(ReplayError::Corrupt(
+                "journal does not begin with a spec record".to_owned(),
+            ));
+        };
+        let compile = |source: &str| {
+            CompiledSpec::from_source(source).map_err(|d| {
+                ReplayError::Spec(format!("journaled spec no longer compiles: {}", d.message))
+            })
+        };
+        // The spec whose declarations the records being replayed speak.
+        let mut in_force = compile(first)?;
+        // The checkpoint reflects every record below `replay_from`, so
+        // it speaks the last spec cut over before it.
+        let at_checkpoint = match self.specs[1..].iter().rev().find(|(seq, _)| *seq < replay_from) {
+            Some((_, source)) => compile(source)?,
+            None => in_force.clone(),
+        };
+        let mut monitor = PropertyMonitor::with_observers(at_checkpoint, config, &mut observers);
+        if let Some(cp) = &self.checkpoint {
+            monitor
+                .restore_snapshot(&cp.payload, &cp.file)
+                .map_err(|e| ReplayError::Corrupt(e.to_string()))?;
+        }
+        let mut heap = Heap::new(HeapConfig::manual());
+        let class = heap.register_class("Obj");
+        let mut r = Replayed {
+            monitor,
+            heap,
+            class,
+            objects: HashMap::new(),
+            events: 0,
+            suppressed: 0,
+            refired: Vec::new(),
+            sessions: HashMap::new(),
+            spec_version: 1,
+            reload_token: 0,
+            base: BaseCounters::default(),
+        };
+        // Every allocated object's bits: the first-mention rule's memory.
+        let mut known = HashSet::new();
+        let hwm = self.scan.trigger_high_water_mark();
+        for sr in &self.scan.records {
+            let seq = sr.seq;
+            let live = seq >= replay_from;
+            match &sr.record {
+                Record::Event { event, binding } => {
+                    let Some(params) = in_force.event_params.get(event.as_usize()) else {
+                        return Err(ReplayError::Corrupt(format!(
+                            "journal record {seq}: unknown event e{}",
+                            event.as_usize()
+                        )));
+                    };
+                    for &p in params {
+                        let Some(obj) = binding.get(p) else {
+                            return Err(ReplayError::Corrupt(format!(
+                                "journal record {seq} binds a different parameter set than \
+                                 event {} declares",
+                                event.as_usize()
+                            )));
+                        };
+                        allocate(&mut r.heap, r.class, &mut known, seq, obj)?;
+                    }
+                    if live {
+                        r.dispatch(seq, *event, *binding, hwm)?;
+                    }
+                }
+                Record::Aux { tag: AUX_GC, .. } => {
+                    r.heap.collect();
+                }
+                Record::Aux { tag: AUX_SWEEP, .. } => r.sweep(live),
+                Record::Aux { tag: AUX_FREE, bytes } => {
+                    for chunk in bytes.chunks_exact(8) {
+                        let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                        if !known.contains(&bits) {
+                            return Err(ReplayError::Corrupt(format!(
+                                "journal record {seq} frees object {bits:#x} never allocated"
+                            )));
+                        }
+                        r.heap.unpin(ObjId::from_bits(bits));
+                    }
+                }
+                Record::Aux { tag: AUX_OBJ, bytes } => {
+                    let Some(bits) = le_u64(bytes, 0) else {
+                        return Err(ReplayError::Corrupt(format!(
+                            "journal record {seq}: truncated AUX_OBJ"
+                        )));
+                    };
+                    let obj = ObjId::from_bits(bits);
+                    allocate(&mut r.heap, r.class, &mut known, seq, obj)?;
+                    r.objects.insert(String::from_utf8_lossy(&bytes[8..]).into_owned(), obj);
+                }
+                Record::Aux { tag: AUX_SLINE, bytes } => {
+                    let (Some(session), Some(cseq)) = (le_u64(bytes, 0), le_u64(bytes, 8)) else {
+                        return Err(ReplayError::Corrupt(format!(
+                            "journal record {seq}: truncated AUX_SLINE"
+                        )));
+                    };
+                    r.note_session(session, cseq);
+                    let line = String::from_utf8_lossy(&bytes[16..]);
+                    let mut words = line.split_whitespace();
+                    match words.next() {
+                        None => {}
+                        Some("!gc") => {
+                            r.heap.collect();
+                        }
+                        Some("!sweep") => r.sweep(live),
+                        Some("!free") => {
+                            for name in words {
+                                let Some(&obj) = r.objects.get(name) else {
+                                    return Err(ReplayError::Corrupt(format!(
+                                        "journal record {seq} frees unknown object `{name}`"
+                                    )));
+                                };
+                                r.heap.unpin(obj);
+                            }
+                        }
+                        Some(name) => {
+                            let Some(event) = in_force.alphabet.lookup(name) else {
+                                return Err(ReplayError::Corrupt(format!(
+                                    "journal record {seq}: unknown event `{name}`"
+                                )));
+                            };
+                            let params = &in_force.event_params[event.as_usize()];
+                            let mut pairs = Vec::with_capacity(params.len());
+                            for (&p, name) in params.iter().zip(words) {
+                                let Some(&obj) = r.objects.get(name) else {
+                                    return Err(ReplayError::Corrupt(format!(
+                                        "journal record {seq} references `{name}` with no \
+                                         AUX_OBJ record"
+                                    )));
+                                };
+                                pairs.push((p, obj));
+                            }
+                            if pairs.len() != params.len() {
+                                return Err(ReplayError::Corrupt(format!(
+                                    "journal record {seq}: event arity mismatch in `{line}`"
+                                )));
+                            }
+                            if live {
+                                r.dispatch(seq, event, Binding::from_pairs(&pairs), hwm)?;
+                            }
+                        }
+                    }
+                }
+                Record::Aux { tag: AUX_FATAL, bytes } => {
+                    // The dedup mark of a `!fatal` that already killed one
+                    // incarnation: advancing the HWM here turns the
+                    // client's resend into a no-op instead of a kill loop.
+                    let (Some(session), Some(cseq)) = (le_u64(bytes, 0), le_u64(bytes, 8)) else {
+                        return Err(ReplayError::Corrupt(format!(
+                            "journal record {seq}: truncated AUX_FATAL"
+                        )));
+                    };
+                    r.note_session(session, cseq);
+                }
+                Record::Aux { tag: AUX_RELOAD, bytes } => {
+                    let Some((token, base, source)) = BaseCounters::decode_reload(bytes) else {
+                        return Err(ReplayError::Corrupt(format!(
+                            "journal record {seq}: malformed AUX_RELOAD"
+                        )));
+                    };
+                    r.spec_version += 1;
+                    r.reload_token = token;
+                    r.base = base;
+                    if live {
+                        in_force = CompiledSpec::from_source(&source).map_err(|d| {
+                            ReplayError::Corrupt(format!(
+                                "journal record {seq}: reloaded spec no longer compiles: {}",
+                                d.message
+                            ))
+                        })?;
+                        r.monitor = PropertyMonitor::with_observers(
+                            in_force.clone(),
+                            config,
+                            &mut observers,
+                        );
+                    } else {
+                        in_force = compile(&source)?;
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(r)
+    }
 }
 
-/// Scans the journal in `dir` and picks the newest usable checkpoint.
+impl<O: EngineObserver> Replayed<O> {
+    /// Dispatches one replayed event and classifies each report it fires
+    /// against the durable high-water mark.
+    fn dispatch(
+        &mut self,
+        seq: u64,
+        event: EventId,
+        binding: Binding,
+        hwm: Option<(u64, u32)>,
+    ) -> Result<(), ReplayError> {
+        let (suppressed, refired) = (&mut self.suppressed, &mut self.refired);
+        self.monitor
+            .try_process_keyed(&self.heap, event, binding, seq, |t| {
+                if hwm.is_some_and(|h| t.key() <= h) {
+                    *suppressed += 1;
+                } else {
+                    refired.push(t);
+                }
+            })
+            .map_err(|e| ReplayError::Corrupt(format!("engine error at record {seq}: {e}")))?;
+        self.events += 1;
+        Ok(())
+    }
+
+    /// A journaled full sweep; the checkpoint already reflects the ones
+    /// before it.
+    fn sweep(&mut self, live: bool) {
+        if live {
+            for engine in self.monitor.engines_mut() {
+                engine.full_sweep(&self.heap);
+            }
+        }
+    }
+
+    fn note_session(&mut self, session: u64, cseq: u64) {
+        if session != 0 {
+            let hwm = self.sessions.entry(session).or_insert(0);
+            *hwm = (*hwm).max(cseq);
+        }
+    }
+}
+
+/// Allocates `obj` on its first mention. The rebuilt heap must hand out
+/// exactly the journaled `ObjId`, or the heap history diverged.
+fn allocate(
+    heap: &mut Heap,
+    class: ClassId,
+    known: &mut HashSet<u64>,
+    seq: u64,
+    obj: ObjId,
+) -> Result<(), ReplayError> {
+    if known.insert(obj.to_bits()) {
+        let frame = heap.enter_frame();
+        let fresh = heap.alloc(class);
+        heap.pin(fresh);
+        heap.exit_frame(frame);
+        if fresh != obj {
+            return Err(ReplayError::Corrupt(format!(
+                "heap replay diverged at record {seq}: journal names object {:#x} but the \
+                 rebuilt heap allocated {:#x}",
+                obj.to_bits(),
+                fresh.to_bits()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The little-endian `u64` at byte `at` of a record payload, if present.
+fn le_u64(bytes: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
+}
+
+/// Scans the journal in `dir`, picks the newest usable checkpoint, and
+/// reads the spec lineage.
 ///
 /// # Errors
 ///
@@ -308,7 +677,22 @@ impl Recovery {
 pub fn plan_recovery(dir: &Path) -> Result<Recovery, EngineError> {
     let scan = read_journal(dir)?;
     let (checkpoint, skipped_checkpoints) = load_latest_checkpoint(dir, scan.next_seq);
-    Ok(Recovery { scan, checkpoint, skipped_checkpoints })
+    let mut specs = Vec::new();
+    let mut records = scan.records.iter();
+    if let Some(sr) = records.next() {
+        if let Record::Aux { tag: AUX_SPEC, bytes } = &sr.record {
+            if let Ok(source) = String::from_utf8(bytes.clone()) {
+                specs.push((sr.seq, source));
+                specs.extend(records.filter_map(|sr| match &sr.record {
+                    Record::Aux { tag: AUX_RELOAD, bytes } => {
+                        BaseCounters::decode_reload(bytes).map(|(_, _, source)| (sr.seq, source))
+                    }
+                    _ => None,
+                }));
+            }
+        }
+    }
+    Ok(Recovery { scan, checkpoint, skipped_checkpoints, specs })
 }
 
 #[cfg(test)]

@@ -1017,9 +1017,7 @@ fn timeline_daemon(rest: &[String]) -> ExitCode {
 /// E/M/FM/CM counters.
 fn top(dir: &std::path::Path) -> ExitCode {
     use rv_monitor::core::journal::AUX_GC_CYCLE;
-    use rv_monitor::core::{
-        read_journal, EngineConfig, GcCycleRecord, PhaseProfiler, PropertyMonitor, Record,
-    };
+    use rv_monitor::core::{GcCycleRecord, PhaseProfiler, Record};
 
     // A daemon root has no journal of its own — each tenant subdirectory
     // carries one. Attribute costs per tenant instead of erroring out
@@ -1046,35 +1044,21 @@ fn top(dir: &std::path::Path) -> ExitCode {
         eprintln!("rvmon: error: {msg}");
         ExitCode::from(2)
     };
-    let scan = match read_journal(dir) {
-        Ok(s) => s,
-        Err(e) => return fail(e.to_string()),
-    };
-    let spec = match spec_from_scan(dir, &scan) {
-        Ok(s) => s,
+    let (plan, mut replayed) = match audit_replay(dir, |_| PhaseProfiler::new()) {
+        Ok(r) => r,
         Err(msg) => return fail(msg),
     };
-    let event_params = spec.event_params.clone();
-    let spec_name = spec.name.clone();
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    let mut monitor = PropertyMonitor::with_observers(spec, &config, |i| {
-        PhaseProfiler::new().with_label(&format!("{spec_name}/block{}", i + 1))
-    });
-    let outcome = match replay_records(&scan, &event_params, &mut monitor, 0, None) {
-        Ok(o) => o,
-        Err(msg) => return fail(msg),
-    };
-    monitor.finish(&outcome.heap);
+    replayed.monitor.finish(&replayed.heap);
 
     let mut merged = PhaseProfiler::new().with_label("ALL");
-    for engine in monitor.engines() {
+    for engine in replayed.monitor.engines() {
         merged.merge_from(engine.observer());
     }
-    let stats = monitor.stats();
+    let stats = replayed.monitor.stats();
     println!(
         "rvmon top — {} event(s) replayed from {} durable record(s) in {}",
-        outcome.replayed_events,
-        scan.records.len(),
+        replayed.events,
+        plan.scan.records.len(),
         dir.display()
     );
     print_row(None, "phase", "spans", ["p50 ns", "p95 ns", "p99 ns"], "total ns");
@@ -1089,7 +1073,8 @@ fn top(dir: &std::path::Path) -> ExitCode {
     );
     // The journaled GC telemetry, if the run recorded any — one line
     // here, the full per-cycle table under `rvmon gc-log`.
-    let gc: Vec<GcCycleRecord> = scan
+    let gc: Vec<GcCycleRecord> = plan
+        .scan
         .records
         .iter()
         .filter_map(|sr| match &sr.record {
@@ -1118,26 +1103,17 @@ fn top(dir: &std::path::Path) -> ExitCode {
 /// write-ahead cost is attributed per tenant rather than folded across
 /// the daemon.
 fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) -> ExitCode {
-    use rv_monitor::core::{
-        read_journal, EngineConfig, JournalWriter, Phase, PhaseProfiler, PropertyMonitor,
-    };
+    use rv_monitor::core::{JournalWriter, Phase, PhaseProfiler};
 
     println!("rvmon top — daemon root {} with {} tenant(s)", root.display(), tenants.len());
     print_row(Some("tenant"), "phase", "spans", ["p50 ns", "p95 ns", "p99 ns"], "total ns");
     let mut failures = 0usize;
     for (name, dir) in tenants {
         let result = (|| -> Result<(), String> {
-            let scan = read_journal(dir).map_err(|e| e.to_string())?;
-            let spec = spec_from_scan(dir, &scan)?;
-            let event_params = spec.event_params.clone();
-            let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-            let mut monitor = PropertyMonitor::with_observers(spec, &config, |i| {
-                PhaseProfiler::new().with_label(&format!("{name}/block{}", i + 1))
-            });
-            let outcome = replay_records(&scan, &event_params, &mut monitor, 0, None)?;
-            monitor.finish(&outcome.heap);
+            let (plan, mut replayed) = audit_replay(dir, |_| PhaseProfiler::new())?;
+            replayed.monitor.finish(&replayed.heap);
             let mut merged = PhaseProfiler::new().with_label(name);
-            for engine in monitor.engines() {
+            for engine in replayed.monitor.engines() {
                 merged.merge_from(engine.observer());
             }
             // Scratch re-append: same records, fresh journal, timed spans.
@@ -1146,7 +1122,7 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
             let _ = std::fs::remove_dir_all(&scratch);
             let mut journal = JournalWriter::create(&scratch)
                 .map_err(|e| format!("cannot create scratch journal: {e}"))?;
-            for sr in &scan.records {
+            for sr in &plan.scan.records {
                 let span = merged.enter(Phase::JournalAppend);
                 journal.append(&sr.record).map_err(|e| format!("scratch append failed: {e}"))?;
                 merged.exit(span);
@@ -1154,7 +1130,9 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
             drop(journal);
             let _ = std::fs::remove_dir_all(&scratch);
             print_phase_rows(Some(name), &merged);
-            let stats = monitor.stats();
+            // Like the daemon's `engine` stats, the row describes the
+            // engine of the spec in force.
+            let stats = replayed.monitor.stats();
             println!(
                 "{:<12} E={} M={} FM={} CM={} triggers={} ({} event(s) from {} record(s))",
                 name,
@@ -1163,8 +1141,8 @@ fn top_daemon(root: &std::path::Path, tenants: &[(String, std::path::PathBuf)]) 
                 stats.monitors_flagged,
                 stats.monitors_collected,
                 stats.triggers,
-                outcome.replayed_events,
-                scan.records.len()
+                replayed.events,
+                plan.scan.records.len()
             );
             Ok(())
         })();
@@ -1467,37 +1445,14 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
                 let binding = Binding::from_pairs(&pairs);
                 let seq = append_timed(&mut journal, &mut jprof, &Record::Event { event, binding })
                     .map_err(io)?;
-                let before: Vec<usize> =
-                    monitor.engines().iter().map(|e| e.triggers().len()).collect();
-                monitor
-                    .try_process(&heap, event, binding)
-                    .map_err(|e| report_err(format!("engine error: {e}")))?;
-                // Goal reports are journaled with a global per-event
-                // ordinal across blocks, in engine order — the duplicate
+                // Goal reports are journaled under the duplicate
                 // suppression key recovery uses.
-                let mut ordinal = 0u32;
-                let fired: Vec<Record> = monitor
-                    .engines()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(bi, engine)| {
-                        engine.triggers()[before[bi]..].iter().map(move |t| (bi, *t))
-                    })
-                    .map(|(bi, t)| {
-                        let r = Record::Trigger {
-                            event_seq: seq,
-                            ordinal,
-                            block: bi as u16,
-                            step: t.step as u64,
-                            verdict: t.verdict,
-                            binding: t.binding,
-                        };
-                        ordinal += 1;
-                        r
-                    })
-                    .collect();
-                for r in &fired {
-                    append_timed(&mut journal, &mut jprof, r).map_err(io)?;
+                let mut fired = Vec::new();
+                monitor
+                    .try_process_keyed(&heap, event, binding, seq, |t| fired.push(t))
+                    .map_err(|e| report_err(format!("engine error: {e}")))?;
+                for t in fired {
+                    append_timed(&mut journal, &mut jprof, &t.to_record()).map_err(io)?;
                 }
                 events_since_checkpoint += 1;
                 if events_since_checkpoint >= checkpoint_every {
@@ -1832,285 +1787,59 @@ fn run_sharded(
     Ok(ExitCode::SUCCESS)
 }
 
-/// Shared replay core for `recover` and `replay`: rebuilds the heap from
-/// the durable record prefix (identical `ObjId`s, because allocation
-/// order is replayed exactly) and feeds events with sequence ≥
-/// `replay_from` to the monitor, suppressing goal reports at or below the
-/// durable high-water mark.
-struct ReplayOutcome {
-    replayed_events: u64,
-    suppressed_triggers: u64,
-    heap: rv_monitor::heap::Heap,
-}
-
-fn replay_records<O: rv_monitor::core::EngineObserver>(
-    scan: &rv_monitor::core::JournalScan,
-    event_params: &[Vec<rv_monitor::logic::ParamId>],
-    monitor: &mut rv_monitor::core::PropertyMonitor<O>,
-    replay_from: u64,
-    hwm: Option<(u64, u32)>,
-) -> Result<ReplayOutcome, String> {
-    use rv_monitor::core::journal::{AUX_FREE, AUX_GC, AUX_OBJ, AUX_SLINE, AUX_SPEC, AUX_SWEEP};
-    use rv_monitor::core::{Binding, Record};
-    use rv_monitor::heap::{Heap, HeapConfig, ObjId};
-
-    let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut known: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    // Daemon journals name objects (`AUX_OBJ`) and carry session-stamped
-    // raw lines (`AUX_SLINE`) instead of pre-bound `Event` records; the
-    // name → ObjId map makes those replayable here too.
-    let mut objects: std::collections::HashMap<String, ObjId> = std::collections::HashMap::new();
-    let mut replayed_events = 0u64;
-    let mut suppressed_triggers = 0u64;
-    for sr in &scan.records {
-        match &sr.record {
-            Record::Aux { tag, bytes } if *tag == AUX_OBJ => {
-                let Some(bits) =
-                    bytes.get(..8).and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-                else {
-                    return Err(format!("journal record {}: truncated AUX_OBJ", sr.seq));
-                };
-                let name = String::from_utf8_lossy(bytes.get(8..).unwrap_or(&[])).into_owned();
-                let frame = heap.enter_frame();
-                let fresh = heap.alloc(class);
-                heap.pin(fresh);
-                heap.exit_frame(frame);
-                if fresh.to_bits() != bits {
-                    return Err(format!(
-                        "heap replay diverged at record {}: journal names object {bits:#x} \
-                         but the rebuilt heap allocated {:#x}",
-                        sr.seq,
-                        fresh.to_bits()
-                    ));
-                }
-                known.insert(bits);
-                objects.insert(name, fresh);
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_SLINE => {
-                if bytes.len() < 16 {
-                    return Err(format!("journal record {}: truncated AUX_SLINE", sr.seq));
-                }
-                let line = String::from_utf8_lossy(&bytes[16..]).into_owned();
-                let mut words = line.split_whitespace();
-                match words.next() {
-                    Some("!gc") => {
-                        heap.collect();
-                    }
-                    Some("!sweep") if sr.seq >= replay_from => {
-                        for engine in monitor.engines_mut() {
-                            engine.full_sweep(&heap);
-                        }
-                    }
-                    Some("!free") => {
-                        for name in words {
-                            let Some(&obj) = objects.get(name) else {
-                                return Err(format!(
-                                    "journal record {} frees unknown object `{name}`",
-                                    sr.seq
-                                ));
-                            };
-                            heap.unpin(obj);
-                        }
-                    }
-                    Some(directive) if directive.starts_with('!') => {}
-                    Some(event_name) => {
-                        let Some(event) = monitor.spec().alphabet.lookup(event_name) else {
-                            return Err(format!(
-                                "journal record {}: unknown event `{event_name}`",
-                                sr.seq
-                            ));
-                        };
-                        let params = &event_params[event.as_usize()];
-                        let mut pairs = Vec::with_capacity(params.len());
-                        for (&p, name) in params.iter().zip(words) {
-                            let Some(&obj) = objects.get(name) else {
-                                return Err(format!(
-                                    "journal record {} names unknown object `{name}`",
-                                    sr.seq
-                                ));
-                            };
-                            pairs.push((p, obj));
-                        }
-                        if pairs.len() != params.len() {
-                            return Err(format!(
-                                "journal record {}: event `{event_name}` is missing parameters",
-                                sr.seq
-                            ));
-                        }
-                        if sr.seq >= replay_from {
-                            let binding = Binding::from_pairs(&pairs);
-                            let before: Vec<usize> =
-                                monitor.engines().iter().map(|e| e.triggers().len()).collect();
-                            monitor
-                                .try_process(&heap, event, binding)
-                                .map_err(|e| format!("engine error at record {}: {e}", sr.seq))?;
-                            let fired: usize = monitor
-                                .engines()
-                                .iter()
-                                .enumerate()
-                                .map(|(bi, e)| e.triggers().len() - before[bi])
-                                .sum();
-                            for ord in 0..fired as u32 {
-                                if hwm.is_some_and(|h| (sr.seq, ord) <= h) {
-                                    suppressed_triggers += 1;
-                                }
-                            }
-                            replayed_events += 1;
-                        }
-                    }
-                    None => {}
-                }
-            }
-            Record::Aux { tag, .. } if *tag == AUX_SPEC || *tag == AUX_GC => {
-                if *tag == AUX_GC {
-                    heap.collect();
-                }
-            }
-            Record::Aux { tag, bytes } if *tag == AUX_FREE => {
-                for chunk in bytes.chunks_exact(8) {
-                    let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    if !known.contains(&bits) {
-                        return Err(format!(
-                            "journal record {} frees object {bits:#x} never seen in an event",
-                            sr.seq
-                        ));
-                    }
-                    heap.unpin(ObjId::from_bits(bits));
-                }
-            }
-            Record::Aux { tag, .. } if *tag == AUX_SWEEP => {
-                if sr.seq >= replay_from {
-                    for engine in monitor.engines_mut() {
-                        engine.full_sweep(&heap);
-                    }
-                }
-            }
-            Record::Event { event, binding } => {
-                // Allocate first-mention objects in the event's declared
-                // parameter order — the same order the original run used —
-                // so the rebuilt heap hands out identical ObjIds.
-                for &p in &event_params[event.as_usize()] {
-                    let Some(obj) = binding.get(p) else {
-                        return Err(format!(
-                            "journal record {} binds a different parameter set than \
-                             event {} declares",
-                            sr.seq,
-                            event.as_usize()
-                        ));
-                    };
-                    if known.insert(obj.to_bits()) {
-                        let frame = heap.enter_frame();
-                        let fresh = heap.alloc(class);
-                        heap.pin(fresh);
-                        heap.exit_frame(frame);
-                        if fresh != obj {
-                            return Err(format!(
-                                "heap replay diverged at record {}: journal names object \
-                                 {:#x} but the rebuilt heap allocated {:#x}",
-                                sr.seq,
-                                obj.to_bits(),
-                                fresh.to_bits()
-                            ));
-                        }
-                    }
-                }
-                if sr.seq >= replay_from {
-                    let before: Vec<usize> =
-                        monitor.engines().iter().map(|e| e.triggers().len()).collect();
-                    monitor
-                        .try_process(&heap, *event, *binding)
-                        .map_err(|e| format!("engine error at record {}: {e}", sr.seq))?;
-                    let fired: usize = monitor
-                        .engines()
-                        .iter()
-                        .enumerate()
-                        .map(|(bi, e)| e.triggers().len() - before[bi])
-                        .sum();
-                    for ord in 0..fired as u32 {
-                        if hwm.is_some_and(|h| (sr.seq, ord) <= h) {
-                            suppressed_triggers += 1;
-                        }
-                    }
-                    replayed_events += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(ReplayOutcome { replayed_events, suppressed_triggers, heap })
-}
-
-/// Compiles the spec carried in the journal's sequence-0 record.
-fn spec_from_scan(
-    dir: &std::path::Path,
-    scan: &rv_monitor::core::JournalScan,
-) -> Result<CompiledSpec, String> {
-    use rv_monitor::core::journal::AUX_SPEC;
-    use rv_monitor::core::Record;
-
-    let Some(first) = scan.records.first() else {
+/// Plans recovery over a journal directory (a `rvmon run` journal or
+/// one `rvmond` tenant), refusing one with no durable records.
+fn plan_journal(dir: &std::path::Path) -> Result<rv_monitor::core::Recovery, String> {
+    let plan = rv_monitor::core::plan_recovery(dir).map_err(|e| e.to_string())?;
+    if plan.scan.records.is_empty() {
         return Err(format!("journal at {} holds no durable records", dir.display()));
-    };
-    let Record::Aux { tag, bytes } = &first.record else {
-        return Err("journal does not begin with a spec record".to_owned());
-    };
-    if *tag != AUX_SPEC {
-        return Err("journal does not begin with a spec record".to_owned());
     }
-    let source = String::from_utf8(bytes.clone())
-        .map_err(|_| "spec record is not valid UTF-8".to_owned())?;
-    CompiledSpec::from_source(&source)
-        .map_err(|d| format!("journaled spec no longer compiles: {}", d.message))
+    Ok(plan)
+}
+
+/// The audit replay behind `replay` and `top`: the whole journal from
+/// sequence 0, checkpoints ignored.
+fn audit_replay<O: rv_monitor::core::EngineObserver>(
+    dir: &std::path::Path,
+    observers: impl FnMut(usize) -> O,
+) -> Result<(rv_monitor::core::Recovery, rv_monitor::core::snapshot::Replayed<O>), String> {
+    let mut plan = plan_journal(dir)?;
+    plan.checkpoint = None;
+    let replayed = plan
+        .replay(&rv_monitor::core::EngineConfig::default(), observers)
+        .map_err(|e| e.to_string())?;
+    Ok((plan, replayed))
 }
 
 /// `rvmon recover` — crash recovery over a journal directory.
 fn recover(dir: &std::path::Path) -> ExitCode {
     use rv_monitor::core::snapshot::{list_checkpoints, write_checkpoint};
-    use rv_monitor::core::{
-        load_latest_checkpoint, read_journal, EngineConfig, JournalWriter, PropertyMonitor, Record,
-    };
+    use rv_monitor::core::{EngineConfig, JournalWriter, NoopObserver, Record};
 
     let fail = |msg: String| {
         eprintln!("rvmon: error: {msg}");
         ExitCode::from(2)
     };
-    let scan = match read_journal(dir) {
-        Ok(s) => s,
-        Err(e) => return fail(e.to_string()),
-    };
-    let spec = match spec_from_scan(dir, &scan) {
-        Ok(s) => s,
+    let plan = match plan_journal(dir) {
+        Ok(p) => p,
         Err(msg) => return fail(msg),
     };
-    let event_params = spec.event_params.clone();
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    let mut monitor = PropertyMonitor::new(spec, &config);
-
-    let (checkpoint, skipped) = load_latest_checkpoint(dir, scan.next_seq);
-    for reason in &skipped {
+    for reason in &plan.skipped_checkpoints {
         eprintln!("rvmon: warning: skipping checkpoint: {reason}");
     }
-    let mut replay_from = 0u64;
-    if let Some(cp) = &checkpoint {
-        if let Err(e) = monitor.restore_snapshot(&cp.payload, &cp.file) {
-            return fail(e.to_string());
-        }
-        replay_from = cp.seq;
-    }
-    let hwm = scan.trigger_high_water_mark();
-    let outcome = match replay_records(&scan, &event_params, &mut monitor, replay_from, hwm) {
-        Ok(o) => o,
-        Err(msg) => return fail(msg),
+    let mut replayed = match plan.replay(&EngineConfig::default(), |_| NoopObserver) {
+        Ok(r) => r,
+        Err(e) => return fail(e.to_string()),
     };
+    let (monitor, heap) = (&mut replayed.monitor, &replayed.heap);
     // Dead keys whose deaths predate the checkpoint go back through the
     // ALIVENESS flagging path, then the recovered state must pass the
     // structural invariant check before we touch the journal.
-    let reflagged = monitor.reflag_dead_keys(&outcome.heap);
-    if let Err(e) = monitor.check_invariants(&outcome.heap) {
+    let reflagged = monitor.reflag_dead_keys(heap);
+    if let Err(e) = monitor.check_invariants(heap) {
         return fail(e.to_string());
     }
-    let mut journal = match JournalWriter::resume(dir, &scan) {
+    let mut journal = match JournalWriter::resume(dir, &plan.scan) {
         Ok(j) => j,
         Err(e) => return fail(format!("cannot resume journal: {e}")),
     };
@@ -2128,6 +1857,7 @@ fn recover(dir: &std::path::Path) -> ExitCode {
         }
     }
 
+    let scan = &plan.scan;
     println!("recovered {} durable record(s) from {}", scan.records.len(), dir.display());
     match &scan.truncation {
         Some(t) => println!(
@@ -2136,18 +1866,16 @@ fn recover(dir: &std::path::Path) -> ExitCode {
         ),
         None => println!("journal tail was clean (no torn records)"),
     }
-    match checkpoint {
+    match &plan.checkpoint {
         Some(cp) => println!(
             "restored checkpoint generation {} (covers seq < {}), replayed {} event(s)",
-            cp.generation, cp.seq, outcome.replayed_events
+            cp.generation, cp.seq, replayed.events
         ),
-        None => {
-            println!("no usable checkpoint — full replay of {} event(s)", outcome.replayed_events)
-        }
+        None => println!("no usable checkpoint — full replay of {} event(s)", replayed.events),
     }
     println!(
         "suppressed {} already-delivered goal report(s); re-flagged {} monitor(s)",
-        outcome.suppressed_triggers, reflagged
+        replayed.suppressed, reflagged
     );
     println!("stats: {}", monitor.stats());
     ExitCode::SUCCESS
@@ -2155,38 +1883,28 @@ fn recover(dir: &std::path::Path) -> ExitCode {
 
 /// `rvmon replay` — audit a journal by re-executing it from sequence 0.
 fn replay(dir: &std::path::Path) -> ExitCode {
-    use rv_monitor::core::{read_journal, EngineConfig, PropertyMonitor};
+    use rv_monitor::core::NoopObserver;
 
     let fail = |msg: String| {
         eprintln!("rvmon: error: {msg}");
         ExitCode::from(2)
     };
-    let scan = match read_journal(dir) {
-        Ok(s) => s,
-        Err(e) => return fail(e.to_string()),
-    };
-    let spec = match spec_from_scan(dir, &scan) {
-        Ok(s) => s,
+    let (plan, mut replayed) = match audit_replay(dir, |_| NoopObserver) {
+        Ok(r) => r,
         Err(msg) => return fail(msg),
     };
-    let event_params = spec.event_params.clone();
-    let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
-    let mut monitor = PropertyMonitor::new(spec, &config);
-    let outcome = match replay_records(&scan, &event_params, &mut monitor, 0, None) {
-        Ok(o) => o,
-        Err(msg) => return fail(msg),
-    };
-    monitor.finish(&outcome.heap);
-    if let Err(e) = monitor.check_invariants(&outcome.heap) {
+    let (monitor, heap) = (&mut replayed.monitor, &replayed.heap);
+    monitor.finish(heap);
+    if let Err(e) = monitor.check_invariants(heap) {
         return fail(e.to_string());
     }
     println!(
         "replayed {} event(s) from {} durable record(s) in {}",
-        outcome.replayed_events,
-        scan.records.len(),
+        replayed.events,
+        plan.scan.records.len(),
         dir.display()
     );
-    if let Some(t) = &scan.truncation {
+    if let Some(t) = &plan.scan.truncation {
         println!(
             "note: torn tail at {} byte {} — {} byte(s) ignored ({})",
             t.file, t.offset, t.lost_bytes, t.reason

@@ -156,3 +156,71 @@ fn top_over_a_daemon_root_prints_one_table_per_tenant() {
     assert!(alpha < beta, "{out}");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+const HAS_NEXT: &str = r#"
+HasNext(Iterator i) {
+    event hasnexttrue(i);
+    event hasnextfalse(i);
+    event next(i);
+    fsm:
+        unknown [ hasnexttrue -> more hasnextfalse -> none next -> error ]
+        more [ hasnexttrue -> more next -> unknown ]
+        none [ hasnextfalse -> none next -> error ]
+        error []
+    @error { report "improper Iterator use found!"; }
+}
+"#;
+
+/// The tenant's live `engine` events and triggers, from its stats JSON.
+fn engine_counters(service: &Service, tenant: &str) -> (u64, u64) {
+    let json = service.tenant_stats_json(tenant).unwrap();
+    let engine = &json[json.find("\"engine\":{").expect("engine object")..];
+    let engine = &engine[..engine.find('}').expect("engine object ends")];
+    let counter = |key: &str| -> u64 {
+        let at = engine.find(&format!("\"{key}\":")).expect("counter present") + key.len() + 3;
+        engine[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+    };
+    (counter("events"), counter("triggers"))
+}
+
+#[test]
+fn replay_tools_follow_a_hot_reload_on_a_daemon_root() {
+    let root = scratch("reload");
+    let config = || ServiceConfig { root: root.clone(), ..ServiceConfig::default() };
+    let service = Service::new(config()).unwrap();
+    service.admit("t", SPEC, TenantOptions::default()).unwrap();
+    // Session-stamped lines, as resilient clients send them.
+    let lines = ["create c i0", "update c", "next i0", "hasnexttrue i1", "next i1", "next i1"];
+    for (cseq, line) in (1..).zip(&lines[..3]) {
+        service.submit_seq("t", 1, cseq, line).unwrap();
+    }
+    service.sync("t", 1).unwrap();
+    assert_eq!(service.reload("t", 7, HAS_NEXT).unwrap(), 2);
+    for (cseq, line) in (4..).zip(&lines[3..]) {
+        service.submit_seq("t", 1, cseq, line).unwrap();
+    }
+    service.sync("t", 2).unwrap();
+    let (events, triggers) = engine_counters(&service, "t");
+    assert_eq!((events, triggers), (3, 1));
+    assert_eq!(service.drain(), 1);
+    drop(service);
+
+    // A restarted daemon recovers the tenant past its cutover.
+    let service = Service::new(config()).unwrap();
+    assert_eq!(service.recover_all().unwrap(), (vec!["t".to_owned()], Vec::new()));
+    assert_eq!(engine_counters(&service, "t"), (events, triggers));
+    assert_eq!(service.drain(), 1);
+    drop(service);
+
+    let out = rvmon(&["top", root.to_str().unwrap()]);
+    let row = format!("t            E={events} M=");
+    let line = out
+        .lines()
+        .find(|l| l.starts_with(&row))
+        .unwrap_or_else(|| panic!("no `{row}` line:\n{out}"));
+    assert!(line.contains(&format!(" triggers={triggers} (")), "{out}");
+    let tenant = root.join("t");
+    rvmon(&["replay", tenant.to_str().unwrap()]);
+    rvmon(&["recover", tenant.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&root);
+}
