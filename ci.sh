@@ -79,6 +79,20 @@ head -c "$((SIZE - 9))" "$SEG" >"$SEG.torn" && mv "$SEG.torn" "$SEG"
 cargo run -q --release --bin rvmon -- recover "$RVS_DIR" >/dev/null
 cargo run -q --release --bin rvmon -- replay "$RVS_DIR" >/dev/null
 rm -rf "$RVS_DIR"
+# The sequential and the sharded run journal the same trace: replaying
+# either journal must print the same triggers and stats (every line
+# after the header, which names the directory and its record count).
+for mode in seq shards; do
+    flags=""
+    [ "$mode" = shards ] && flags="--shards 4"
+    # shellcheck disable=SC2086 # $flags is empty or two words
+    cargo run -q --release --bin rvmon -- run specs/unsafe_iter.rv \
+        examples/unsafe_iter.events --journal "$RVS_DIR-$mode" $flags >/dev/null
+    cargo run -q --release --bin rvmon -- replay "$RVS_DIR-$mode" | tail -n +2 \
+        >"$RVS_DIR-$mode.out"
+done
+diff "$RVS_DIR-seq.out" "$RVS_DIR-shards.out"
+rm -rf "$RVS_DIR-seq" "$RVS_DIR-shards" "$RVS_DIR-seq.out" "$RVS_DIR-shards.out"
 PAR_JSON="${TMPDIR:-/tmp}/rv-ci-parallel-$$.json"
 cargo run -q --release -p rv-bench --bin parallel -- --scale 0.02 \
     --stats-json "$PAR_JSON" >/dev/null

@@ -35,14 +35,21 @@ impl Binding {
     /// Panics if a parameter index is `≥ MAX_PARAMS` or repeats.
     #[must_use]
     pub fn from_pairs(pairs: &[(ParamId, ObjId)]) -> Binding {
-        let mut b = Binding::BOTTOM;
-        for &(p, v) in pairs {
-            assert!(p.as_usize() < MAX_PARAMS, "parameter index {p:?} out of range");
-            assert!(!b.domain.contains(p), "parameter {p:?} bound twice");
-            b.domain = b.domain.with(p);
-            b.vals[p.as_usize()] = v.to_bits();
-        }
-        b
+        pairs.iter().fold(Binding::BOTTOM, |b, &(p, v)| b.with(p, v))
+    }
+
+    /// `self` extended with `p ↦ v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is `≥ MAX_PARAMS` or already bound.
+    #[must_use]
+    pub fn with(mut self, p: ParamId, v: ObjId) -> Binding {
+        assert!(p.as_usize() < MAX_PARAMS, "parameter index {p:?} out of range");
+        assert!(!self.domain.contains(p), "parameter {p:?} bound twice");
+        self.domain = self.domain.with(p);
+        self.vals[p.as_usize()] = v.to_bits();
+        self
     }
 
     /// The domain `dom(θ)`.

@@ -65,6 +65,7 @@ pub mod netchaos;
 pub mod obs;
 pub mod profile;
 pub mod reference;
+pub mod script;
 pub mod service;
 pub mod shard;
 pub mod slo;

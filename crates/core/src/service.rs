@@ -65,7 +65,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rv_heap::{Heap, HeapConfig, ObjId};
+use rv_heap::{Heap, HeapConfig};
 use rv_logic::Verdict;
 use rv_spec::CompiledSpec;
 
@@ -82,6 +82,7 @@ use crate::journal::{
 use crate::multi::PropertyMonitor;
 use crate::obs::{json_escape, MetricsRegistry};
 use crate::profile::PromWriter;
+use crate::script::{self, Line, Names};
 use crate::slo::{SloConfig, SloSnapshot, SloTracker};
 use crate::snapshot::{list_checkpoints, plan_recovery, write_checkpoint, ReplayError, Replayed};
 
@@ -2331,16 +2332,13 @@ struct Worker {
     name: String,
     monitor: PropertyMonitor<MetricsRegistry>,
     heap: Heap,
-    class: rv_heap::ClassId,
-    objects: HashMap<String, ObjId>,
+    names: Names,
     journal: JournalWriter,
     dir: PathBuf,
     retry: RetryPolicy,
     checkpoint_every: u64,
     events_since_checkpoint: u64,
     generation: u64,
-    alphabet: rv_logic::Alphabet,
-    event_params: Vec<Vec<rv_logic::ParamId>>,
     shared: Arc<Mutex<TenantSnapshot>>,
     bad_lines: u64,
     /// Per-session `cseq` high-water marks — the server half of
@@ -2433,8 +2431,7 @@ impl Worker {
             let Replayed {
                 monitor: mut replayed_monitor,
                 heap,
-                class,
-                objects,
+                names,
                 events,
                 suppressed: replay_suppressed,
                 refired,
@@ -2482,12 +2479,9 @@ impl Worker {
             }
             let w = Worker {
                 name: name.to_owned(),
-                alphabet: replayed_monitor.spec().alphabet.clone(),
-                event_params: replayed_monitor.spec().event_params.clone(),
                 monitor: replayed_monitor,
                 heap,
-                class,
-                objects,
+                names,
                 journal,
                 dir: dir.to_path_buf(),
                 retry,
@@ -2526,16 +2520,13 @@ impl Worker {
                 )
                 .map_err(|e| internal(e.to_string()))?;
             let mut heap = Heap::new(HeapConfig::manual());
-            let class = heap.register_class("Obj");
+            let names = Names::new(&mut heap);
             triggers.lock().expect("trigger log poisoned").reset(config.trigger_log_cap);
             let w = Worker {
                 name: name.to_owned(),
-                alphabet: monitor.spec().alphabet.clone(),
-                event_params: monitor.spec().event_params.clone(),
                 monitor,
                 heap,
-                class,
-                objects: HashMap::new(),
+                names,
                 journal,
                 dir: dir.to_path_buf(),
                 retry,
@@ -2761,8 +2752,6 @@ impl Worker {
         self.monitor =
             PropertyMonitor::with_observers(spec, &self.engine_cfg, |_| MetricsRegistry::new());
         self.install_flags();
-        self.alphabet = self.monitor.spec().alphabet.clone();
-        self.event_params = self.monitor.spec().event_params.clone();
         self.base = base;
         self.spec_version += 1;
         self.reload_token = token;
@@ -2809,11 +2798,20 @@ impl Worker {
         }
     }
 
-    /// Journals one session-stamped line as a single atomic `AUX_SLINE`
-    /// record — the line and its dedup `(session, cseq)` commit
-    /// together, so a crash can never tear the dedup mark from its
-    /// effects.
-    fn append_sline(&mut self, session: u64, cseq: u64, line: &str) -> Result<u64, Fatal> {
+    /// Journals one line: a session-0 line as its typed `record()`, a
+    /// session-stamped line as a single atomic `AUX_SLINE` record — the
+    /// line and its dedup `(session, cseq)` commit together, so a crash
+    /// can never tear the dedup mark from its effects.
+    fn append_line(
+        &mut self,
+        session: u64,
+        cseq: u64,
+        line: &str,
+        record: impl FnOnce() -> Record,
+    ) -> Result<u64, Fatal> {
+        if session == 0 {
+            return self.append(&record());
+        }
         let mut bytes = Vec::with_capacity(16 + line.len());
         bytes.extend_from_slice(&session.to_le_bytes());
         bytes.extend_from_slice(&cseq.to_le_bytes());
@@ -2860,15 +2858,35 @@ impl Worker {
                 return Ok(());
             }
         }
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            self.note_session(session, cseq);
-            return Ok(());
+        let line = script::content(raw);
+        // `!fatal` is daemon-only; where it is not allowed, the grammar
+        // rejects it as a bad line.
+        if line.split_whitespace().next() == Some("!fatal")
+            && self.opts.flags & TENANT_FLAG_ALLOW_FATAL != 0
+        {
+            // Journal + fsync the kill marker BEFORE dying: the
+            // restarted worker rebuilds the session HWM past this
+            // cseq, so the client's resend of `!fatal` dedups
+            // instead of re-killing the tenant in a loop.
+            let mut bytes = Vec::with_capacity(16);
+            bytes.extend_from_slice(&session.to_le_bytes());
+            bytes.extend_from_slice(&cseq.to_le_bytes());
+            self.append(&Record::Aux { tag: AUX_FATAL, bytes })?;
+            self.sync_timed()?;
+            return Err(Fatal("injected worker-fatal fault (!fatal)".into()));
         }
-        let mut words = line.split_whitespace();
-        let Some(head) = words.next() else {
-            self.note_session(session, cseq);
-            return Ok(());
+        let parsed = match self.names.parse(self.monitor.spec(), line) {
+            Ok(Some(parsed)) => parsed,
+            Ok(None) => {
+                self.note_session(session, cseq);
+                return Ok(());
+            }
+            Err(_) => {
+                self.bad_lines += 1;
+                self.obs.note_error();
+                self.note_session(session, cseq);
+                return Ok(());
+            }
         };
         // The wire-to-trigger trace for this line: the connection-side
         // spans arrive in `ctx`, the worker fills in the rest as the
@@ -2884,84 +2902,33 @@ impl Worker {
         trace.stages[Stage::Admission.idx()] = ctx.admission_ns;
         trace.stages[Stage::QueueWait.idx()] = ctx.queue_ns;
         let span_ns = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match head {
-            "!gc" => {
+        match parsed {
+            directive @ (Line::Gc | Line::Sweep) => {
+                let gc = matches!(directive, Line::Gc);
                 let t0 = Instant::now();
-                if session == 0 {
-                    self.append(&Record::Aux { tag: AUX_GC, bytes: Vec::new() })?;
-                } else {
-                    self.append_sline(session, cseq, line)?;
-                }
+                let tag = if gc { AUX_GC } else { AUX_SWEEP };
+                self.append_line(session, cseq, line, || Record::Aux { tag, bytes: Vec::new() })?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 let t0 = Instant::now();
-                self.heap.collect();
-                let dur = span_ns(t0);
-                trace.stages[Stage::Engine.idx()] = dur;
-                self.flight.lock().expect("flight recorder poisoned").note(
-                    &self.name,
-                    FlightKind::GcCycle,
-                    dur,
-                    "heap collect (!gc)",
-                );
-            }
-            "!sweep" => {
-                let t0 = Instant::now();
-                if session == 0 {
-                    self.append(&Record::Aux { tag: AUX_SWEEP, bytes: Vec::new() })?;
+                if gc {
+                    self.names.collect(&mut self.heap);
                 } else {
-                    self.append_sline(session, cseq, line)?;
-                }
-                trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
-                let t0 = Instant::now();
-                for engine in self.monitor.engines_mut() {
-                    engine.full_sweep(&self.heap);
+                    for engine in self.monitor.engines_mut() {
+                        engine.full_sweep(&self.heap);
+                    }
                 }
                 let dur = span_ns(t0);
                 trace.stages[Stage::Engine.idx()] = dur;
-                self.flight.lock().expect("flight recorder poisoned").note(
-                    &self.name,
-                    FlightKind::GcCycle,
-                    dur,
-                    "full sweep (!sweep)",
-                );
+                let what = if gc { "heap collect (!gc)" } else { "full sweep (!sweep)" };
+                let mut flight = self.flight.lock().expect("flight recorder poisoned");
+                flight.note(&self.name, FlightKind::GcCycle, dur, what);
             }
-            "!fatal" => {
-                if self.opts.flags & TENANT_FLAG_ALLOW_FATAL == 0 {
-                    self.bad_lines += 1;
-                    self.obs.note_error();
-                    self.note_session(session, cseq);
-                    return Ok(());
-                }
-                // Journal + fsync the kill marker BEFORE dying: the
-                // restarted worker rebuilds the session HWM past this
-                // cseq, so the client's resend of `!fatal` dedups
-                // instead of re-killing the tenant in a loop.
-                let mut bytes = Vec::with_capacity(16);
-                bytes.extend_from_slice(&session.to_le_bytes());
-                bytes.extend_from_slice(&cseq.to_le_bytes());
-                self.append(&Record::Aux { tag: AUX_FATAL, bytes })?;
-                self.sync_timed()?;
-                return Err(Fatal("injected worker-fatal fault (!fatal)".into()));
-            }
-            "!free" => {
-                let mut freed = Vec::new();
-                let mut payload = Vec::new();
-                for name in words {
-                    let Some(&obj) = self.objects.get(name) else {
-                        self.bad_lines += 1;
-                        self.obs.note_error();
-                        self.note_session(session, cseq);
-                        return Ok(());
-                    };
-                    payload.extend_from_slice(&obj.to_bits().to_le_bytes());
-                    freed.push(obj);
-                }
+            Line::Free(freed) => {
                 let t0 = Instant::now();
-                if session == 0 {
-                    self.append(&Record::Aux { tag: AUX_FREE, bytes: payload })?;
-                } else {
-                    self.append_sline(session, cseq, line)?;
-                }
+                self.append_line(session, cseq, line, || {
+                    let bytes = freed.iter().flat_map(|o| o.to_bits().to_le_bytes()).collect();
+                    Record::Aux { tag: AUX_FREE, bytes }
+                })?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 let t0 = Instant::now();
                 for obj in freed {
@@ -2969,53 +2936,24 @@ impl Worker {
                 }
                 trace.stages[Stage::Engine.idx()] = span_ns(t0);
             }
-            event_name => {
-                let Some(event) = self.alphabet.lookup(event_name) else {
-                    self.bad_lines += 1;
-                    self.obs.note_error();
-                    self.note_session(session, cseq);
-                    return Ok(());
-                };
-                let params = self.event_params[event.as_usize()].clone();
-                let names: Vec<&str> = words.collect();
-                if names.len() != params.len() {
-                    self.bad_lines += 1;
-                    self.obs.note_error();
-                    self.note_session(session, cseq);
-                    return Ok(());
-                }
+            Line::Event(ev) => {
                 // First-mention allocations are journaled as AUX_OBJ
                 // (object bits + client name) ahead of the event, so
                 // recovery rebuilds the same name → ObjId map.
-                let mut pairs = Vec::with_capacity(params.len());
                 let mut fresh: Vec<Record> = Vec::new();
-                for (&p, &name) in params.iter().zip(&names) {
-                    let obj = match self.objects.get(name) {
-                        Some(&o) => o,
-                        None => {
-                            let frame = self.heap.enter_frame();
-                            let o = self.heap.alloc(self.class);
-                            self.heap.pin(o);
-                            self.heap.exit_frame(frame);
-                            self.objects.insert(name.to_owned(), o);
-                            let mut bytes = o.to_bits().to_le_bytes().to_vec();
-                            bytes.extend_from_slice(name.as_bytes());
-                            fresh.push(Record::Aux { tag: AUX_OBJ, bytes });
-                            o
-                        }
-                    };
-                    pairs.push((p, obj));
-                }
+                let binding =
+                    self.names.bind(&mut self.heap, self.monitor.spec(), &ev, |name, o| {
+                        let mut bytes = o.to_bits().to_le_bytes().to_vec();
+                        bytes.extend_from_slice(name.as_bytes());
+                        fresh.push(Record::Aux { tag: AUX_OBJ, bytes });
+                    });
+                let event = ev.event;
                 let t0 = Instant::now();
                 for r in &fresh {
                     self.append(r)?;
                 }
-                let binding = Binding::from_pairs(&pairs);
-                let seq = if session == 0 {
-                    self.append(&Record::Event { event, binding })?
-                } else {
-                    self.append_sline(session, cseq, line)?
-                };
+                let seq =
+                    self.append_line(session, cseq, line, || Record::Event { event, binding })?;
                 trace.stages[Stage::JournalAppend.idx()] = span_ns(t0);
                 trace.seq = seq;
                 let t0 = Instant::now();

@@ -372,7 +372,7 @@ pub struct ShardedMonitor<O: EngineObserver + Send + Default + 'static = NoopObs
     deliveries: u64,
     route_profile: PhaseProfiler,
     error: Option<EngineError>,
-    alphabet: rv_logic::Alphabet,
+    spec: CompiledSpec,
 }
 
 impl ShardedMonitor<NoopObserver> {
@@ -464,7 +464,7 @@ impl<O: EngineObserver + Send + Default + 'static> ShardedMonitor<O> {
             deliveries: 0,
             route_profile: PhaseProfiler::new().with_label("shard-coordinator"),
             error: None,
-            alphabet: spec.alphabet,
+            spec,
         }
     }
 
@@ -474,10 +474,16 @@ impl<O: EngineObserver + Send + Default + 'static> ShardedMonitor<O> {
         self.shard_cfg.shards
     }
 
+    /// The spec every shard monitors.
+    #[must_use]
+    pub fn spec(&self) -> &CompiledSpec {
+        &self.spec
+    }
+
     /// Looks up an event id by name.
     #[must_use]
     pub fn event(&self, name: &str) -> Option<EventId> {
-        self.alphabet.lookup(name)
+        self.spec.alphabet.lookup(name)
     }
 
     /// Opens an event-feeding session. The session shares `heap` with the

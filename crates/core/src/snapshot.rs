@@ -28,13 +28,13 @@
 //! [`Engine::snapshot_bytes`]: crate::Engine::snapshot_bytes
 //! [`PropertyMonitor::snapshot_bytes`]: crate::PropertyMonitor::snapshot_bytes
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use rv_heap::{ClassId, Heap, HeapConfig, ObjId};
+use rv_heap::{Heap, HeapConfig, ObjId};
 use rv_logic::EventId;
 use rv_spec::CompiledSpec;
 
@@ -47,6 +47,7 @@ use crate::journal::{
 };
 use crate::multi::PropertyMonitor;
 use crate::obs::EngineObserver;
+use crate::script::{Line, Names, ScriptError};
 use crate::service::TriggerRecord;
 
 /// Checkpoint file magic: the first four bytes.
@@ -339,10 +340,8 @@ pub struct Replayed<O: EngineObserver> {
     /// The heap rebuilt from the whole record prefix (identical
     /// `ObjId`s: allocation order is replayed exactly).
     pub heap: Heap,
-    /// The heap class every journaled object is allocated in.
-    pub(crate) class: ClassId,
-    /// The client-visible name → `ObjId` map from `AUX_OBJ` records.
-    pub(crate) objects: HashMap<String, ObjId>,
+    /// The client-visible name → `ObjId` table from `AUX_OBJ` records.
+    pub(crate) names: Names,
     /// Events dispatched past the checkpoint, across every spec.
     pub events: u64,
     /// Reports at or below the journaled trigger high-water mark:
@@ -382,10 +381,11 @@ impl Recovery {
     /// Both record dialects replay: `rvmond` journals (`AUX_OBJ`,
     /// `AUX_SLINE`, `AUX_FATAL`, `AUX_RELOAD`, plus session-0 events and
     /// directives) and `rvmon run` journals (`Event`, `AUX_GC`,
-    /// `AUX_FREE`, `AUX_SWEEP`). An `Event` naming an object no earlier
-    /// record allocated is accepted only if it is exactly the rebuilt
-    /// heap's next allocation (objects are first-mentioned in declared
-    /// parameter order).
+    /// `AUX_FREE`, `AUX_SWEEP`). An `Event` or `AUX_OBJ` naming an object
+    /// that is not live in the rebuilt heap is accepted only if it is
+    /// exactly the heap's next allocation (objects are first-mentioned in
+    /// declared parameter order), and every `!gc` forgets the names of the
+    /// objects it reclaims, as [`Names::collect`] does live.
     ///
     /// # Errors
     ///
@@ -429,12 +429,11 @@ impl Recovery {
                 .map_err(|e| ReplayError::Corrupt(e.to_string()))?;
         }
         let mut heap = Heap::new(HeapConfig::manual());
-        let class = heap.register_class("Obj");
+        let names = Names::new(&mut heap);
         let mut r = Replayed {
             monitor,
             heap,
-            class,
-            objects: HashMap::new(),
+            names,
             events: 0,
             suppressed: 0,
             refired: Vec::new(),
@@ -443,8 +442,6 @@ impl Recovery {
             reload_token: 0,
             base: BaseCounters::default(),
         };
-        // Every allocated object's bits: the first-mention rule's memory.
-        let mut known = HashSet::new();
         let hwm = self.scan.trigger_high_water_mark();
         for sr in &self.scan.records {
             let seq = sr.seq;
@@ -465,25 +462,26 @@ impl Recovery {
                                 event.as_usize()
                             )));
                         };
-                        allocate(&mut r.heap, r.class, &mut known, seq, obj)?;
+                        r.recreate(seq, obj)?;
                     }
                     if live {
                         r.dispatch(seq, *event, *binding, hwm)?;
                     }
                 }
                 Record::Aux { tag: AUX_GC, .. } => {
-                    r.heap.collect();
+                    r.names.collect(&mut r.heap);
                 }
                 Record::Aux { tag: AUX_SWEEP, .. } => r.sweep(live),
                 Record::Aux { tag: AUX_FREE, bytes } => {
                     for chunk in bytes.chunks_exact(8) {
                         let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                        if !known.contains(&bits) {
+                        let obj = ObjId::from_bits(bits);
+                        if !r.heap.is_alive(obj) {
                             return Err(ReplayError::Corrupt(format!(
                                 "journal record {seq} frees object {bits:#x} never allocated"
                             )));
                         }
-                        r.heap.unpin(ObjId::from_bits(bits));
+                        r.heap.unpin(obj);
                     }
                 }
                 Record::Aux { tag: AUX_OBJ, bytes } => {
@@ -493,8 +491,8 @@ impl Recovery {
                         )));
                     };
                     let obj = ObjId::from_bits(bits);
-                    allocate(&mut r.heap, r.class, &mut known, seq, obj)?;
-                    r.objects.insert(String::from_utf8_lossy(&bytes[8..]).into_owned(), obj);
+                    r.recreate(seq, obj)?;
+                    r.names.insert(&String::from_utf8_lossy(&bytes[8..]), obj);
                 }
                 Record::Aux { tag: AUX_SLINE, bytes } => {
                     let (Some(session), Some(cseq)) = (le_u64(bytes, 0), le_u64(bytes, 8)) else {
@@ -504,47 +502,36 @@ impl Recovery {
                     };
                     r.note_session(session, cseq);
                     let line = String::from_utf8_lossy(&bytes[16..]);
-                    let mut words = line.split_whitespace();
-                    match words.next() {
-                        None => {}
-                        Some("!gc") => {
-                            r.heap.collect();
+                    let corrupt =
+                        |msg: String| ReplayError::Corrupt(format!("journal record {seq}{msg}"));
+                    let parsed = r.names.parse(&in_force, &line).map_err(|e| match e {
+                        ScriptError::UnknownEvent(name) => {
+                            corrupt(format!(": unknown event `{name}`"))
                         }
-                        Some("!sweep") => r.sweep(live),
-                        Some("!free") => {
-                            for name in words {
-                                let Some(&obj) = r.objects.get(name) else {
-                                    return Err(ReplayError::Corrupt(format!(
-                                        "journal record {seq} frees unknown object `{name}`"
-                                    )));
-                                };
+                        ScriptError::Arity { .. } => {
+                            corrupt(format!(": event arity mismatch in `{line}`"))
+                        }
+                        ScriptError::UnknownObject(name) => {
+                            corrupt(format!(" frees unknown object `{name}`"))
+                        }
+                    })?;
+                    match parsed {
+                        None => {}
+                        Some(Line::Gc) => {
+                            r.names.collect(&mut r.heap);
+                        }
+                        Some(Line::Sweep) => r.sweep(live),
+                        Some(Line::Free(objs)) => {
+                            for obj in objs {
                                 r.heap.unpin(obj);
                             }
                         }
-                        Some(name) => {
-                            let Some(event) = in_force.alphabet.lookup(name) else {
-                                return Err(ReplayError::Corrupt(format!(
-                                    "journal record {seq}: unknown event `{name}`"
-                                )));
-                            };
-                            let params = &in_force.event_params[event.as_usize()];
-                            let mut pairs = Vec::with_capacity(params.len());
-                            for (&p, name) in params.iter().zip(words) {
-                                let Some(&obj) = r.objects.get(name) else {
-                                    return Err(ReplayError::Corrupt(format!(
-                                        "journal record {seq} references `{name}` with no \
-                                         AUX_OBJ record"
-                                    )));
-                                };
-                                pairs.push((p, obj));
-                            }
-                            if pairs.len() != params.len() {
-                                return Err(ReplayError::Corrupt(format!(
-                                    "journal record {seq}: event arity mismatch in `{line}`"
-                                )));
-                            }
+                        Some(Line::Event(ev)) => {
+                            let binding = r.names.bind_known(&in_force, &ev).map_err(|name| {
+                                corrupt(format!(" references `{name}` with no AUX_OBJ record"))
+                            })?;
                             if live {
-                                r.dispatch(seq, event, Binding::from_pairs(&pairs), hwm)?;
+                                r.dispatch(seq, ev.event, binding, hwm)?;
                             }
                         }
                     }
@@ -616,6 +603,19 @@ impl<O: EngineObserver> Replayed<O> {
         Ok(())
     }
 
+    /// A journaled object's first mention: the rebuilt heap must hand out
+    /// exactly `obj`, or the heap history diverged.
+    fn recreate(&mut self, seq: u64, obj: ObjId) -> Result<(), ReplayError> {
+        self.names.recreate(&mut self.heap, obj).map_err(|fresh| {
+            ReplayError::Corrupt(format!(
+                "heap replay diverged at record {seq}: journal names object {:#x} but the \
+                 rebuilt heap allocated {:#x}",
+                obj.to_bits(),
+                fresh.to_bits()
+            ))
+        })
+    }
+
     /// A journaled full sweep; the checkpoint already reflects the ones
     /// before it.
     fn sweep(&mut self, live: bool) {
@@ -632,32 +632,6 @@ impl<O: EngineObserver> Replayed<O> {
             *hwm = (*hwm).max(cseq);
         }
     }
-}
-
-/// Allocates `obj` on its first mention. The rebuilt heap must hand out
-/// exactly the journaled `ObjId`, or the heap history diverged.
-fn allocate(
-    heap: &mut Heap,
-    class: ClassId,
-    known: &mut HashSet<u64>,
-    seq: u64,
-    obj: ObjId,
-) -> Result<(), ReplayError> {
-    if known.insert(obj.to_bits()) {
-        let frame = heap.enter_frame();
-        let fresh = heap.alloc(class);
-        heap.pin(fresh);
-        heap.exit_frame(frame);
-        if fresh != obj {
-            return Err(ReplayError::Corrupt(format!(
-                "heap replay diverged at record {seq}: journal names object {:#x} but the \
-                 rebuilt heap allocated {:#x}",
-                obj.to_bits(),
-                fresh.to_bits()
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// The little-endian `u64` at byte `at` of a record payload, if present.
@@ -707,6 +681,42 @@ mod tests {
             std::env::temp_dir().join(format!("rv-snapshot-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn replay_rejects_a_session_line_naming_too_many_objects() {
+        let dir = temp_dir("arity");
+        let spec = "\
+UnsafeIter(Collection c, Iterator i) {
+    event create(c, i);
+    event update(c);
+    event next(i);
+    ere: update* create next* update+ next
+    @match { report \"improper Concurrent Modification found!\"; }
+}
+";
+        let obj = |index: u64, name: &str| {
+            let mut bytes = (index << 32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(name.as_bytes());
+            Record::Aux { tag: AUX_OBJ, bytes }
+        };
+        let mut sline = [1u64.to_le_bytes(), 1u64.to_le_bytes()].concat();
+        sline.extend_from_slice(b"create c1 i1 junk");
+        let mut w = crate::journal::JournalWriter::create(&dir).unwrap();
+        w.append(&Record::Aux { tag: AUX_SPEC, bytes: spec.as_bytes().to_vec() }).unwrap();
+        w.append(&obj(0, "c1")).unwrap();
+        w.append(&obj(1, "i1")).unwrap();
+        w.append(&Record::Aux { tag: AUX_SLINE, bytes: sline }).unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let plan = plan_recovery(&dir).unwrap();
+        match plan.replay(&EngineConfig::default(), |_| crate::obs::NoopObserver) {
+            Err(ReplayError::Corrupt(msg)) => {
+                assert!(msg.contains("event arity mismatch"), "unexpected error: {msg}");
+            }
+            other => panic!("expected a corrupt-journal error, got {:?}", other.map(|r| r.events)),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -97,8 +97,9 @@
 //!
 //! The `trace` event file is line-oriented: `event obj…` dispatches an
 //! event (objects are named and allocated on first mention), `!free obj`
-//! lets an object become garbage, `!gc` runs a heap collection, `!sweep`
-//! runs a monitor GC sweep; `#` starts a comment.
+//! lets an object become garbage, `!gc` runs a heap collection and
+//! forgets the names of the objects it reclaims, `!sweep` runs a monitor
+//! GC sweep; `#` starts a comment.
 //!
 //! Exit status: 0 on success, 1 on diagnostics, 2 on usage/IO errors.
 
@@ -361,11 +362,9 @@ fn chaos(path: &str, source: &str, rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Drives a textual event trace through `monitor` — the shared core of
-/// `trace`, `explain`, and `serve`. Grammar: `event obj…` dispatches an
-/// event (objects are named and allocated pinned, in a throwaway frame,
-/// on first mention), `!free obj…` unpins, `!gc` collects the heap,
-/// `!sweep` runs a monitor-GC sweep on every block; `#` starts a comment.
+/// Drives a textual event trace (the `rv_core::script` grammar) through
+/// `monitor` — the shared core of `trace`, `explain`, `serve` and
+/// `timeline`. `!sweep` runs a full sweep on every block.
 ///
 /// Errors carry the `file:line: error: message` rendering ready to print.
 fn drive_trace<O: rv_monitor::core::EngineObserver>(
@@ -374,78 +373,31 @@ fn drive_trace<O: rv_monitor::core::EngineObserver>(
     events_path: &str,
     events: &str,
 ) -> Result<(), String> {
-    use rv_monitor::core::Binding;
+    use rv_monitor::core::script::{Line, Names};
 
-    let alphabet = monitor.spec().alphabet.clone();
-    let event_params = monitor.spec().event_params.clone();
-    let class = heap.register_class("Obj");
-    let mut objects: std::collections::HashMap<String, rv_monitor::heap::ObjId> =
-        std::collections::HashMap::new();
+    let mut names = Names::new(heap);
     for (lineno, raw) in events.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        // invariant: `line` is non-empty after trimming, so there is at
-        // least one word — but degrade to skipping the line regardless.
-        let Some(head) = words.next() else {
-            continue;
-        };
         let report_err = |msg: String| format!("{events_path}:{}: error: {msg}", lineno + 1);
-        match head {
-            "!gc" => {
-                heap.collect();
+        match names.parse(monitor.spec(), raw).map_err(|e| report_err(e.to_string()))? {
+            None => {}
+            Some(Line::Gc) => {
+                names.collect(heap);
             }
-            "!sweep" => {
+            Some(Line::Sweep) => {
                 for engine in monitor.engines_mut() {
                     engine.full_sweep(heap);
                 }
             }
-            "!free" => {
-                for name in words {
-                    match objects.get(name) {
-                        Some(&obj) => heap.unpin(obj),
-                        None => return Err(report_err(format!("unknown object `{name}`"))),
-                    }
+            Some(Line::Free(freed)) => {
+                for obj in freed {
+                    heap.unpin(obj);
                 }
             }
-            event_name => {
-                let Some(event) = alphabet.lookup(event_name) else {
-                    return Err(report_err(format!(
-                        "`{event_name}` is not an event of this spec \
-                         (directives are !free, !gc, !sweep)"
-                    )));
-                };
-                let params = &event_params[event.as_usize()];
-                let names: Vec<&str> = words.collect();
-                if names.len() != params.len() {
-                    return Err(report_err(format!(
-                        "event `{event_name}` takes {} object(s), got {}",
-                        params.len(),
-                        names.len()
-                    )));
-                }
-                let pairs: Vec<_> = params
-                    .iter()
-                    .zip(&names)
-                    .map(|(&p, &name)| {
-                        let obj = *objects.entry(name.to_owned()).or_insert_with(|| {
-                            // Allocate in a throwaway frame so the pin is
-                            // the object's only root: `!free` then `!gc`
-                            // really reclaims it.
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                        (p, obj)
-                    })
-                    .collect();
-                if let Err(e) = monitor.try_process(heap, event, Binding::from_pairs(&pairs)) {
-                    return Err(report_err(format!("engine error: {e}")));
-                }
+            Some(Line::Event(ev)) => {
+                let binding = names.bind(heap, monitor.spec(), &ev, |_, _| {});
+                monitor
+                    .try_process(heap, ev.event, binding)
+                    .map_err(|e| report_err(format!("engine error: {e}")))?;
             }
         }
     }
@@ -1220,13 +1172,54 @@ fn append_timed(
     res
 }
 
+/// `!gc` on a journaled run: journals the directive, collects (forgetting
+/// the names of reclaimed objects) and journals the collection's
+/// telemetry as `AUX_GC_CYCLE` records, which it returns.
+fn journaled_gc(
+    journal: &mut rv_monitor::core::JournalWriter,
+    jprof: &mut rv_monitor::core::PhaseProfiler,
+    names: &mut rv_monitor::core::script::Names,
+    heap: &mut rv_monitor::heap::Heap,
+) -> std::io::Result<Vec<rv_monitor::core::GcCycleRecord>> {
+    use rv_monitor::core::journal::{AUX_GC, AUX_GC_CYCLE};
+    use rv_monitor::core::{GcCycleRecord, Record};
+
+    append_timed(journal, jprof, &Record::Aux { tag: AUX_GC, bytes: Vec::new() })?;
+    names.collect(heap);
+    let mut cycles = Vec::new();
+    for c in heap.drain_cycles() {
+        let rec = GcCycleRecord::from_heap_cycle(&c);
+        append_timed(journal, jprof, &Record::Aux { tag: AUX_GC_CYCLE, bytes: rec.to_bytes() })?;
+        cycles.push(rec);
+    }
+    Ok(cycles)
+}
+
+/// `!free` on a journaled run: journals the freed objects' bits as an
+/// `AUX_FREE` record, then unpins them.
+fn journaled_free(
+    journal: &mut rv_monitor::core::JournalWriter,
+    jprof: &mut rv_monitor::core::PhaseProfiler,
+    heap: &mut rv_monitor::heap::Heap,
+    freed: Vec<rv_monitor::heap::ObjId>,
+) -> std::io::Result<()> {
+    let bytes = freed.iter().flat_map(|o| o.to_bits().to_le_bytes()).collect();
+    let tag = rv_monitor::core::journal::AUX_FREE;
+    append_timed(journal, jprof, &rv_monitor::core::Record::Aux { tag, bytes })?;
+    for obj in freed {
+        heap.unpin(obj);
+    }
+    Ok(())
+}
+
 #[allow(clippy::too_many_lines)]
 fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8, String)> {
-    use rv_monitor::core::journal::{AUX_FREE, AUX_GC, AUX_GC_CYCLE, AUX_SPEC, AUX_SWEEP};
+    use rv_monitor::core::journal::{AUX_GC_CYCLE, AUX_SPEC, AUX_SWEEP};
+    use rv_monitor::core::script::{Line, Names};
     use rv_monitor::core::snapshot::write_checkpoint;
     use rv_monitor::core::{
-        Binding, EngineConfig, EngineObserver as _, GcCycleRecord, GcReason, JournalWriter,
-        MetricsRegistry, PropertyMonitor, Record,
+        EngineConfig, EngineObserver as _, GcReason, JournalWriter, MetricsRegistry,
+        PropertyMonitor, Record,
     };
     use rv_monitor::heap::{Heap, HeapConfig};
 
@@ -1311,8 +1304,6 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
         return run_sharded(source, spec, events_path, &events, journal_dir, shards);
     }
     let checkpoint_every = checkpoint_every.unwrap_or(32);
-    let alphabet = spec.alphabet.clone();
-    let event_params = spec.event_params.clone();
     let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
     // A metrics observer on every block turns the GC telemetry on: with
     // it enabled, sweeps hand back per-cycle records the journal keeps as
@@ -1334,47 +1325,28 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
     .map_err(io)?;
 
     let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut objects: std::collections::HashMap<String, rv_monitor::heap::ObjId> =
-        std::collections::HashMap::new();
+    let mut names = Names::new(&mut heap);
     let mut events_since_checkpoint = 0usize;
     let mut generation = 0u64;
     for (lineno, raw) in events.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        let Some(head) = words.next() else {
+        let report_err = |msg: String| (1u8, format!("{events_path}:{}: {msg}", lineno + 1));
+        let Some(line) = names.parse(monitor.spec(), raw).map_err(|e| report_err(e.to_string()))?
+        else {
             continue;
         };
-        let report_err = |msg: String| (1u8, format!("{events_path}:{}: {msg}", lineno + 1));
-        match head {
-            "!gc" => {
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_GC, bytes: Vec::new() },
-                )
-                .map_err(io)?;
-                heap.collect();
-                // The collection just finished is in the heap's cycle
-                // log: journal it as telemetry and deliver it to the
-                // first block's observer (one consumer per shared heap).
-                for c in heap.drain_cycles() {
-                    let rec = GcCycleRecord::from_heap_cycle(&c);
-                    append_timed(
-                        &mut journal,
-                        &mut jprof,
-                        &Record::Aux { tag: AUX_GC_CYCLE, bytes: rec.to_bytes() },
-                    )
-                    .map_err(io)?;
+        match line {
+            Line::Gc => {
+                // The collection's telemetry also goes to the first
+                // block's observer (one consumer per shared heap).
+                for rec in
+                    journaled_gc(&mut journal, &mut jprof, &mut names, &mut heap).map_err(io)?
+                {
                     if let Some(first) = monitor.engines_mut().first_mut() {
                         first.observer_mut().gc_cycle(&rec);
                     }
                 }
             }
-            "!sweep" => {
+            Line::Sweep => {
                 append_timed(
                     &mut journal,
                     &mut jprof,
@@ -1392,57 +1364,12 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
                     }
                 }
             }
-            "!free" => {
-                let mut freed = Vec::new();
-                let mut payload = Vec::new();
-                for name in words {
-                    let Some(&obj) = objects.get(name) else {
-                        return Err(report_err(format!("unknown object `{name}`")));
-                    };
-                    payload.extend_from_slice(&obj.to_bits().to_le_bytes());
-                    freed.push(obj);
-                }
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_FREE, bytes: payload },
-                )
-                .map_err(io)?;
-                for obj in freed {
-                    heap.unpin(obj);
-                }
+            Line::Free(freed) => {
+                journaled_free(&mut journal, &mut jprof, &mut heap, freed).map_err(io)?;
             }
-            event_name => {
-                let Some(event) = alphabet.lookup(event_name) else {
-                    return Err(report_err(format!(
-                        "`{event_name}` is not an event of this spec \
-                         (directives are !free, !gc, !sweep)"
-                    )));
-                };
-                let params = &event_params[event.as_usize()];
-                let names: Vec<&str> = words.collect();
-                if names.len() != params.len() {
-                    return Err(report_err(format!(
-                        "event `{event_name}` takes {} object(s), got {}",
-                        params.len(),
-                        names.len()
-                    )));
-                }
-                let pairs: Vec<_> = params
-                    .iter()
-                    .zip(&names)
-                    .map(|(&p, &name)| {
-                        let obj = *objects.entry(name.to_owned()).or_insert_with(|| {
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                        (p, obj)
-                    })
-                    .collect();
-                let binding = Binding::from_pairs(&pairs);
+            Line::Event(ev) => {
+                let event = ev.event;
+                let binding = names.bind(&mut heap, monitor.spec(), &ev, |_, _| {});
                 let seq = append_timed(&mut journal, &mut jprof, &Record::Event { event, binding })
                     .map_err(io)?;
                 // Goal reports are journaled under the duplicate
@@ -1515,12 +1442,11 @@ fn run_inner(path: &str, source: &str, rest: &[String]) -> Result<ExitCode, (u8,
 /// or end of trace) with their deterministic `(event_seq, ordinal)` keys,
 /// where `event_seq` is the journal sequence of the event record. Heap
 /// mutation — collection, unpinning, and first-mention allocation — only
-/// happens while every worker is quiescent; allocations are hoisted to
-/// the start of each directive-free run of events, which hands out the
-/// same `ObjId`s as allocating at first mention because the free list
-/// only changes at a collection. Checkpoints are not written: recovery
-/// replays the journal from sequence 0 on the sequential engine, which is
-/// verdict-equivalent.
+/// happens while every worker is quiescent: each directive-free run of
+/// events is bound (allocating first mentions in line order, the same
+/// `ObjId`s as the sequential path) before a session dispatches it.
+/// Checkpoints are not written: recovery replays the journal from
+/// sequence 0 on the sequential engine, which is verdict-equivalent.
 #[allow(clippy::too_many_lines)]
 fn run_sharded(
     source: &str,
@@ -1530,64 +1456,18 @@ fn run_sharded(
     journal_dir: &std::path::Path,
     shards: usize,
 ) -> Result<ExitCode, (u8, String)> {
-    use rv_monitor::core::journal::{AUX_FREE, AUX_GC, AUX_GC_CYCLE, AUX_SPEC, AUX_SWEEP};
+    use rv_monitor::core::journal::{AUX_SPEC, AUX_SWEEP};
+    use rv_monitor::core::script::{Line, Names};
     use rv_monitor::core::{
-        Binding, EngineConfig, GcCycleRecord, JournalWriter, Record, ShardConfig, ShardTrigger,
+        Binding, EngineConfig, JournalWriter, PhaseProfiler, Record, ShardConfig, ShardTrigger,
         ShardedMonitor,
     };
-    use rv_monitor::heap::{Heap, HeapConfig, ObjId};
+    use rv_monitor::heap::{Heap, HeapConfig};
     use rv_monitor::logic::EventId;
-
-    enum Step<'a> {
-        Gc,
-        Sweep,
-        Free { names: Vec<&'a str>, lineno: usize },
-        Event { event: EventId, names: Vec<&'a str> },
-    }
-
-    let alphabet = spec.alphabet.clone();
-    let event_params = spec.event_params.clone();
-
-    // Tokenize the whole trace up front (no heap effects yet) so runs of
-    // event lines between directives are known before a session opens.
-    let mut steps = Vec::new();
-    for (lineno, raw) in events.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        let Some(head) = words.next() else {
-            continue;
-        };
-        let report_err = |msg: String| (1u8, format!("{events_path}:{}: {msg}", lineno + 1));
-        match head {
-            "!gc" => steps.push(Step::Gc),
-            "!sweep" => steps.push(Step::Sweep),
-            "!free" => steps.push(Step::Free { names: words.collect(), lineno }),
-            event_name => {
-                let Some(event) = alphabet.lookup(event_name) else {
-                    return Err(report_err(format!(
-                        "`{event_name}` is not an event of this spec \
-                         (directives are !free, !gc, !sweep)"
-                    )));
-                };
-                let names: Vec<&str> = words.collect();
-                let arity = event_params[event.as_usize()].len();
-                if names.len() != arity {
-                    return Err(report_err(format!(
-                        "event `{event_name}` takes {arity} object(s), got {}",
-                        names.len()
-                    )));
-                }
-                steps.push(Step::Event { event, names });
-            }
-        }
-    }
 
     let io = |e: std::io::Error| (2u8, format!("journal write failed: {e}"));
     let mut journal = JournalWriter::create(journal_dir).map_err(io)?;
-    let mut jprof = rv_monitor::core::PhaseProfiler::new().with_label("journal");
+    let mut jprof = PhaseProfiler::new().with_label("journal");
     append_timed(
         &mut journal,
         &mut jprof,
@@ -1598,8 +1478,7 @@ fn run_sharded(
     let config = EngineConfig { record_triggers: true, ..EngineConfig::default() };
     let mut sharded = ShardedMonitor::new(spec, &config, ShardConfig::with_shards(shards));
     let mut heap = Heap::new(HeapConfig::manual());
-    let class = heap.register_class("Obj");
-    let mut objects: std::collections::HashMap<String, ObjId> = std::collections::HashMap::new();
+    let mut names = Names::new(&mut heap);
     // Maps the sharded engine's 0-based event index to the journal
     // sequence of that event's record — the key trigger records carry.
     let mut seq_of_event: Vec<u64> = Vec::new();
@@ -1607,7 +1486,7 @@ fn run_sharded(
 
     fn append_triggers(
         journal: &mut JournalWriter,
-        jprof: &mut rv_monitor::core::PhaseProfiler,
+        jprof: &mut PhaseProfiler,
         triggers: Vec<ShardTrigger>,
         seq_of_event: &[u64],
     ) -> std::io::Result<u64> {
@@ -1631,33 +1510,53 @@ fn run_sharded(
     }
 
     let engine_failed = |e: &rv_monitor::core::EngineError| (1u8, format!("engine error: {e}"));
-    let mut i = 0usize;
-    while i < steps.len() {
-        match &steps[i] {
-            Step::Gc => {
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_GC, bytes: Vec::new() },
-                )
-                .map_err(io)?;
-                heap.collect();
+    // The bound events of the current directive-free run, dispatched in
+    // one session (dropping it quiesces: every trigger of the run has
+    // arrived) before the next heap mutation.
+    let mut run: Vec<(EventId, Binding)> = Vec::new();
+    let mut dispatch = |run: &mut Vec<(EventId, Binding)>,
+                        sharded: &mut ShardedMonitor,
+                        heap: &Heap,
+                        journal: &mut JournalWriter,
+                        jprof: &mut PhaseProfiler| {
+        if run.is_empty() {
+            return Ok(0);
+        }
+        {
+            let mut session = sharded.session(heap);
+            for (event, binding) in run.drain(..) {
+                let seq =
+                    append_timed(journal, jprof, &Record::Event { event, binding }).map_err(io)?;
+                seq_of_event.push(seq);
+                session.process(event, binding);
+            }
+        }
+        if let Some(e) = sharded.last_error() {
+            return Err(engine_failed(e));
+        }
+        append_triggers(journal, jprof, sharded.drain_triggers(), &seq_of_event).map_err(io)
+    };
+    for (lineno, raw) in events.lines().enumerate() {
+        let Some(line) = names
+            .parse(sharded.spec(), raw)
+            .map_err(|e| (1u8, format!("{events_path}:{}: {e}", lineno + 1)))?
+        else {
+            continue;
+        };
+        if let Line::Event(ev) = &line {
+            run.push((ev.event, names.bind(&mut heap, sharded.spec(), ev, |_, _| {})));
+            continue;
+        }
+        trigger_records += dispatch(&mut run, &mut sharded, &heap, &mut journal, &mut jprof)?;
+        match line {
+            Line::Gc => {
                 // Heap-collection telemetry is journaled at the quiesce
                 // point, same as the sequential path. (Worker-private
                 // monitor sweeps stay off the journal: their clocks live
                 // on the shard threads.)
-                for c in heap.drain_cycles() {
-                    let rec = GcCycleRecord::from_heap_cycle(&c);
-                    append_timed(
-                        &mut journal,
-                        &mut jprof,
-                        &Record::Aux { tag: AUX_GC_CYCLE, bytes: rec.to_bytes() },
-                    )
-                    .map_err(io)?;
-                }
-                i += 1;
+                journaled_gc(&mut journal, &mut jprof, &mut names, &mut heap).map_err(io)?;
             }
-            Step::Sweep => {
+            Line::Sweep => {
                 append_timed(
                     &mut journal,
                     &mut jprof,
@@ -1665,85 +1564,14 @@ fn run_sharded(
                 )
                 .map_err(io)?;
                 sharded.sweep(&heap);
-                i += 1;
             }
-            Step::Free { names, lineno } => {
-                let mut freed = Vec::new();
-                let mut payload = Vec::new();
-                for name in names {
-                    let Some(&obj) = objects.get(*name) else {
-                        return Err((
-                            1,
-                            format!("{events_path}:{}: unknown object `{name}`", lineno + 1),
-                        ));
-                    };
-                    payload.extend_from_slice(&obj.to_bits().to_le_bytes());
-                    freed.push(obj);
-                }
-                append_timed(
-                    &mut journal,
-                    &mut jprof,
-                    &Record::Aux { tag: AUX_FREE, bytes: payload },
-                )
-                .map_err(io)?;
-                for obj in freed {
-                    heap.unpin(obj);
-                }
-                i += 1;
+            Line::Free(freed) => {
+                journaled_free(&mut journal, &mut jprof, &mut heap, freed).map_err(io)?;
             }
-            Step::Event { .. } => {
-                let mut j = i;
-                while j < steps.len() && matches!(steps[j], Step::Event { .. }) {
-                    j += 1;
-                }
-                // Allocate this run's first-mention objects while the
-                // workers are still quiescent.
-                for step in &steps[i..j] {
-                    let Step::Event { names, .. } = step else { unreachable!() };
-                    for name in names {
-                        objects.entry((*name).to_owned()).or_insert_with(|| {
-                            let frame = heap.enter_frame();
-                            let o = heap.alloc(class);
-                            heap.pin(o);
-                            heap.exit_frame(frame);
-                            o
-                        });
-                    }
-                }
-                {
-                    let mut session = sharded.session(&heap);
-                    for step in &steps[i..j] {
-                        let Step::Event { event, names } = step else { unreachable!() };
-                        let pairs: Vec<_> = event_params[event.as_usize()]
-                            .iter()
-                            .zip(names)
-                            .map(|(&p, &name)| (p, objects[name]))
-                            .collect();
-                        let binding = Binding::from_pairs(&pairs);
-                        let seq = append_timed(
-                            &mut journal,
-                            &mut jprof,
-                            &Record::Event { event: *event, binding },
-                        )
-                        .map_err(io)?;
-                        seq_of_event.push(seq);
-                        session.process(*event, binding);
-                    }
-                } // drop quiesces: every trigger of this run has arrived
-                if let Some(e) = sharded.last_error() {
-                    return Err(engine_failed(e));
-                }
-                trigger_records += append_triggers(
-                    &mut journal,
-                    &mut jprof,
-                    sharded.drain_triggers(),
-                    &seq_of_event,
-                )
-                .map_err(io)?;
-                i = j;
-            }
+            Line::Event(_) => unreachable!("event lines join the run"),
         }
     }
+    trigger_records += dispatch(&mut run, &mut sharded, &heap, &mut journal, &mut jprof)?;
 
     let report = sharded.finish(&heap);
     if let Some(e) = report.error {

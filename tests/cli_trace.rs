@@ -229,3 +229,24 @@ fn trace_subcommand_rejects_unknown_events() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("zap"), "error should name the bad event: {stderr}");
 }
+
+#[test]
+fn trace_reuses_a_collected_name_as_a_fresh_object() {
+    // `i1` is freed and collected, then named again: the second `i1` is a
+    // new iterator, so the update-then-next below is a violation. Bound
+    // to the collected handle instead, its monitor would never fire.
+    let dir = std::env::temp_dir().join(format!("rvmon-cli-trace-reuse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = dir.join("reuse.events");
+    std::fs::write(&events, "create c1 i1\n!free i1\n!gc\ncreate c1 i1\nupdate c1\nnext i1\n")
+        .unwrap();
+    let out = rvmon()
+        .args(["trace", &repo_path("specs/unsafe_iter.rv"), events.to_str().unwrap()])
+        .output()
+        .expect("run rvmon");
+    assert!(out.status.success(), "rvmon trace failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let metrics = stdout.lines().find(|l| l.contains("\"engine\":")).expect("metrics line");
+    assert_eq!(field_u64(metrics, "\"engine\":", "triggers"), 1, "{metrics}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

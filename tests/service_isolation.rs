@@ -291,3 +291,42 @@ fn crash_recovery_delivers_triggers_exactly_once() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A name whose object a `!gc` reclaimed names a fresh object when it
+/// comes back — live, and again when recovery replays the journal — on
+/// both the session-0 path (`AUX_GC`/`AUX_FREE` records) and the
+/// session-stamped one (`AUX_SLINE`). Bound to the collected handle, the
+/// second `i1`'s violation would be lost.
+#[test]
+fn a_collected_name_comes_back_as_a_fresh_object_live_and_on_replay() {
+    let root = scratch("reuse");
+    // No periodic checkpoints: recovery replays every event.
+    let cfg = ServiceConfig { checkpoint_every: 1_000_000, ..config(&root) };
+    let lines = ["create c1 i1", "!free i1", "!gc", "create c1 i1", "update c1", "next i1"];
+    {
+        let service = Service::new(cfg.clone()).unwrap();
+        for (tenant, session) in [("plain", 0u64), ("sess", 7)] {
+            service.admit(tenant, SPEC, TenantOptions::default()).unwrap();
+            for (cseq, line) in (1u64..).zip(lines) {
+                service.submit_seq(tenant, session, cseq, line).unwrap();
+            }
+            service.sync(tenant, 1).unwrap();
+            let snap = snapshot_of(&service, tenant);
+            assert_eq!((snap.events, snap.triggers, snap.bad_lines), (4, 1, 0), "{tenant} live");
+        }
+        // Dropped without drain(): the crash path.
+    }
+    let service = Service::new(cfg).unwrap();
+    let (ok, failed) = service.recover_all().unwrap();
+    assert!(failed.is_empty(), "recovery failures: {failed:?}");
+    assert_eq!(ok.len(), 2);
+    for tenant in ["plain", "sess"] {
+        let snap = snapshot_of(&service, tenant);
+        assert_eq!(snap.recovered_events, 4, "{tenant} replayed every event");
+        assert_eq!(snap.triggers, 1, "{tenant} after recovery");
+        assert_eq!(snap.suppressed_triggers, 1, "{tenant}: the replayed report was delivered");
+        assert_eq!(trigger_keys(&root.join(tenant)).len(), 1, "{tenant}: nothing refired");
+    }
+    let _ = service.drain();
+    let _ = std::fs::remove_dir_all(&root);
+}
